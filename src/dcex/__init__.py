@@ -51,7 +51,6 @@ from .sampler import (
     ChainConfig,
     ChainConfigError,
     ChainResult,
-    brute_force_optimum,
     run_chain,
 )
 from .seeding import derive_seed
@@ -80,7 +79,6 @@ __all__ = [
     "Score",
     "adjusted_jaccard",
     "best_pair_adjusted_jaccard",
-    "brute_force_optimum",
     "derive_seed",
     "directed_modularity",
     "empirical_p_value",

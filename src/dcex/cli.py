@@ -23,7 +23,7 @@ import numpy as np
 from . import __version__
 from .baselines import DmmConfig, run_dmm, run_uce
 from .benchmark import BenchmarkSpec, generate
-from .criterion import MODE_DIRECTED, CriterionParams
+from .criterion import MODE_DIRECTED, MODE_UNDIRECTED, CriterionParams
 from .evaluation import best_pair_adjusted_jaccard, save_membership
 from .extraction import (
     NULL_DEGREE_PRESERVING,
@@ -31,7 +31,7 @@ from .extraction import (
     ExtractionConfig,
     extract_all,
 )
-from .graph import load_edge_list, save_edge_list
+from .graph import load_edge_list, save_edge_list, symmetrize
 from .sampler import ChainConfig, run_chain, write_trace_csv
 from .seeding import derive_seed
 
@@ -102,7 +102,8 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--parts", type=int, default=3, help="dmm: number of parts")
     p.add_argument("--refinement-passes", type=int, default=10)
     p.add_argument("--trace", default=None,
-                   help="dump a step,W,accepted,|S| CSV for one diagnostic chain")
+                   help="dump a step,W,accepted,|S| CSV of the first restart "
+                        "chain (dce and uce only)")
     p.add_argument("--out", required=True)
     p.set_defaults(func=_cmd_extract)
 
@@ -174,6 +175,8 @@ def _write_manifest(out_path, command: str, params: dict, seed: int, timings: di
 
 def _cmd_extract(args) -> int:
     t0 = time.perf_counter()
+    if args.trace and args.method == "dmm":
+        raise ValueError("--trace needs --method dce or uce: dmm runs no chain")
     graph_path = Path(args.graph)
     if not graph_path.exists():
         print(f"error: graph file not found: {graph_path}", file=sys.stderr)
@@ -204,11 +207,18 @@ def _cmd_extract(args) -> int:
         report = extract_all(g, config) if args.method == "dce" else run_uce(g, config)
         report.save_json(args.out)
         if args.trace:
-            tchain = replace(
-                chain, seed=derive_seed(args.seed, 0, 0, 0), instrument=True
+            # The first restart of round 0, on the graph and criterion that
+            # method searched.
+            if args.method == "uce":
+                g, params = symmetrize(g), replace(params, mode=MODE_UNDIRECTED)
+            events = []
+            run_chain(
+                g,
+                params,
+                replace(chain, seed=derive_seed(args.seed, 0, 0, 0)),
+                observer=lambda event, state: events.append(event),
             )
-            tres = run_chain(g, params, tchain)
-            write_trace_csv(tres.records, args.trace)
+            write_trace_csv(events, args.trace)
     timings["run_s"] = time.perf_counter() - t1
 
     _write_manifest(args.out, "extract", _echo_args(args), args.seed, timings)

@@ -107,12 +107,10 @@ def value_from_counts(o_s, b_in, b_out, size, n_nodes, params) -> float:
 
 
 def score_from_counts(o_s, b_in, b_out, size, n_nodes, params) -> Score:
-    q = q_coefficient(b_in, b_out) if params.mode == MODE_DIRECTED else 1.0
-    eff = params.rho * n_nodes - size
     return Score(
-        value=eff * o_s / size - (q ** params.n) * (b_in + b_out),
-        q_d=q,
-        effective_size_term=eff,
+        value=value_from_counts(o_s, b_in, b_out, size, n_nodes, params),
+        q_d=q_coefficient(b_in, b_out) if params.mode == MODE_DIRECTED else 1.0,
+        effective_size_term=params.rho * n_nodes - size,
     )
 
 
@@ -136,7 +134,11 @@ class CommunityState:
 
     @classmethod
     def from_members(cls, g, members) -> "CommunityState":
-        """Build a state by computing all counts from scratch."""
+        """Build a state by computing all counts from scratch.
+
+        The counts are summed in node order, so they depend on the set alone
+        and not on the order in which its members were added.
+        """
         mset = set(int(u) for u in members)
         for u in mset:
             if not (0 <= u < g.n_nodes):
@@ -147,7 +149,7 @@ class CommunityState:
         o_s = 0.0
         b_out = 0.0
         b_in = 0.0
-        for u in mset:
+        for u in sorted(mset):
             for v, w in zip(g.out_nbrs[u], g.out_wts[u]):
                 if in_set[v]:
                     o_s += w

@@ -11,6 +11,7 @@ continues on the complement.
 from __future__ import annotations
 
 import json
+import math
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import asdict, dataclass, replace
 from statistics import median
@@ -139,6 +140,19 @@ def empirical_p_value(observed: float, null_scores) -> float:
     null_scores = list(null_scores)
     ge = sum(1 for v in null_scores if v >= observed)
     return (1 + ge) / (1 + len(null_scores))
+
+
+def _is_significant(observed: float, null_scores, quantile: float) -> bool:
+    """Whether the empirical p-value is at most ``1 - quantile``.
+
+    Decided on integer counts, 1 + #{null >= observed} <= floor((1-q)(R+1)),
+    because the float comparison misfires where (1-q)(R+1) is an integer:
+    at R=9, q=0.9 the float 1 - 0.9 is just below 0.1, so p = 1/10 would
+    be rejected.  The 1e-9 slack absorbs that rounding in the product.
+    """
+    exceed = sum(1 for v in null_scores if v >= observed)
+    limit = math.floor((1.0 - quantile) * (len(null_scores) + 1) + 1e-9)
+    return 1 + exceed <= limit
 
 
 def randomize(g: DirectedGraph, model: str, seed: int) -> DirectedGraph:
@@ -287,7 +301,9 @@ def extract_all(
             null_scores = _null_best_scores(residual, config, master, round_idx,
                                             jobs)
             empirical_p = empirical_p_value(observed, null_scores)
-            if empirical_p > 1.0 - config.significance_quantile:
+            if not _is_significant(
+                observed, null_scores, config.significance_quantile
+            ):
                 reason = STOP_NON_SIGNIFICANT
                 break
 

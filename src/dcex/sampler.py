@@ -14,9 +14,9 @@ reachable state space.
 
 from __future__ import annotations
 
-import itertools
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from typing import Callable, NamedTuple
 
 import numpy as np
 
@@ -26,7 +26,7 @@ from .criterion import (
     is_admissible_size,
     max_admissible_size,
     move_delta,
-    score_from_counts,
+    score,
     value_from_counts,
 )
 
@@ -43,9 +43,8 @@ class ChainConfig:
 
     ``max_steps`` and ``patience`` default (when None) to 200*N and 20*N for
     a graph of N nodes.  ``init_members`` of None seeds the chain at a
-    uniformly random single node.  ``trace_stride`` > 0 records the current W
-    every that many steps; ``instrument`` keeps a full per-step record (for
-    diagnostics and tests only, it is memory-heavy).
+    uniformly random single node.  Per-step diagnostics are not configured
+    here: pass an ``observer`` to :func:`run_chain` instead.
     """
 
     c: float = 1.0
@@ -53,10 +52,7 @@ class ChainConfig:
     patience: int | None = None
     seed: int = 0
     init_members: tuple[int, ...] | None = None
-    record_frequencies: bool = False
     hastings_corrected: bool = False
-    trace_stride: int = 0
-    instrument: bool = False
 
     def __post_init__(self):
         if self.c <= 0:
@@ -71,9 +67,8 @@ class ChainConfig:
             raise ChainConfigError("patience must not exceed max_steps")
 
 
-@dataclass(frozen=True)
-class StepRecord:
-    """One instrumented proposal: what was drawn, its delta, and the outcome."""
+class StepEvent(NamedTuple):
+    """One proposal: what was drawn, its delta, and the outcome."""
 
     step: int
     node: int
@@ -84,7 +79,6 @@ class StepRecord:
     accepted: bool
     size: int  # |S| after the step
     w: float  # W after the step
-    counts: tuple[float, float, float]  # (o_s, b_in, b_out) after the step
 
 
 @dataclass(frozen=True)
@@ -95,9 +89,6 @@ class ChainResult:
     accepted: int
     acceptance_rate: float
     stopped: str  # "max_steps" | "patience" | "no_edges" | "stalled"
-    w_trace: tuple[tuple[int, float], ...] | None = None
-    visit_frequency: tuple[tuple[frozenset, int], ...] | None = None
-    records: tuple[StepRecord, ...] | None = field(default=None, repr=False)
 
 
 class _IndexedSet:
@@ -135,18 +126,27 @@ def resolve_budget(config: ChainConfig, n_nodes: int) -> tuple[int, int]:
     return max_steps, patience
 
 
-def _zobrist_keys(n_nodes: int) -> list[int]:
-    # Fixed internal seed: visit-frequency hashes are stable across runs.
-    rng = np.random.default_rng(0x5E7BA5E)
-    return rng.integers(0, 2**63, size=n_nodes, dtype=np.int64).tolist()
-
-
-def run_chain(g, params, config: ChainConfig) -> ChainResult:
+def run_chain(
+    g,
+    params,
+    config: ChainConfig,
+    observer: Callable[[StepEvent, CommunityState], None] | None = None,
+) -> ChainResult:
     """Run one chain on ``g`` and return the best subset seen.
 
     Fully deterministic given ``config.seed``.  On a graph with no edges the
     chain terminates immediately with the initial state and ``stopped`` set
     to "no_edges".
+
+    ``observer``, when given, is called once per proposal, after the move
+    (if accepted) is applied, as ``observer(event, state)``: ``event`` is
+    that step's :class:`StepEvent` and ``state`` the chain's live
+    :class:`CommunityState`, which the observer must not mutate.  It sees
+    every step the chain runs and draws no random numbers, so observing a
+    chain does not change its trajectory or its result.
+
+    The reported ``best_score`` is evaluated from scratch on the reported
+    ``best_state``, so it is exactly ``score(g, result.best_state, params)``.
     """
     n = g.n_nodes
     if n < 2:
@@ -174,40 +174,21 @@ def run_chain(g, params, config: ChainConfig) -> ChainResult:
         state.o_s, state.b_in, state.b_out, state.size, n, params
     )
 
-    def make_result(stopped, steps, accepted, best, trace, freq, records):
-        best_members, best_counts = best
+    def make_result(stopped, steps, accepted, best_members):
         best_state = CommunityState.from_members(g, best_members)
-        best_score = score_from_counts(*best_counts, n, params)
-        top = None
-        if freq is not None:
-            order = sorted(freq.items(), key=lambda kv: (-kv[1][0], kv[0]))
-            top = tuple((kv[1][1], kv[1][0]) for kv in order[:32])
         return ChainResult(
             best_state=best_state,
-            best_score=best_score,
+            best_score=score(g, best_state, params),
             steps_run=steps,
             accepted=accepted,
             acceptance_rate=(accepted / steps) if steps else 0.0,
             stopped=stopped,
-            w_trace=tuple(trace) if trace is not None else None,
-            visit_frequency=top,
-            records=tuple(records) if records is not None else None,
         )
 
-    best = (frozenset(state.members), state.counts())
-    trace = [] if config.trace_stride > 0 else None
-    records = [] if config.instrument else None
-    freq = None
-    zkeys = None
-    cur_hash = 0
-    if config.record_frequencies:
-        freq = {}
-        zkeys = _zobrist_keys(n)
-        for u in state.members:
-            cur_hash ^= zkeys[u]
+    best_members = frozenset(state.members)
 
     if g.edge_count == 0:
-        return make_result("no_edges", 0, 0, best, trace, freq, records)
+        return make_result("no_edges", 0, 0, best_members)
 
     max_steps, patience = resolve_budget(config, n)
 
@@ -238,7 +219,6 @@ def run_chain(g, params, config: ChainConfig) -> ChainResult:
 
     c = config.c
     hastings = config.hastings_corrected
-    stride = config.trace_stride
     best_w = w_cur
     accepted = 0
     since_improve = 0
@@ -309,45 +289,26 @@ def run_chain(g, params, config: ChainConfig) -> ChainResult:
             w_cur = value_from_counts(
                 state.o_s, state.b_in, state.b_out, state.size, n, params
             )
-            if zkeys is not None:
-                cur_hash ^= zkeys[u]
             if w_cur > best_w:
                 best_w = w_cur
-                best = (frozenset(state.members), state.counts())
+                best_members = frozenset(state.members)
                 since_improve = 0
             else:
                 since_improve += 1
         else:
             since_improve += 1
 
-        if freq is not None:
-            entry = freq.get(cur_hash)
-            if entry is None:
-                freq[cur_hash] = [1, frozenset(state.members)]
-            else:
-                entry[0] += 1
-        if stride and step % stride == 0:
-            trace.append((step, w_cur))
-        if records is not None:
-            records.append(
-                StepRecord(
-                    step=step,
-                    node=u,
-                    direction=direction,
-                    delta=delta,
-                    log_ratio=log_ratio,
-                    uniform=unif,
-                    accepted=accept,
-                    size=state.size,
-                    w=w_cur,
-                    counts=(state.o_s, state.b_in, state.b_out),
-                )
+        if observer is not None:
+            observer(
+                StepEvent(step, u, direction, delta, log_ratio, unif, accept,
+                          state.size, w_cur),
+                state,
             )
         if since_improve >= patience:
             stopped = "patience"
             break
 
-    return make_result(stopped, steps, accepted, best, trace, freq, records)
+    return make_result(stopped, steps, accepted, best_members)
 
 
 def _pool_size_after(u, direction, pool_len, cov, in_set, adj):
@@ -366,50 +327,9 @@ def _pool_size_after(u, direction, pool_len, cov, in_set, adj):
     return size
 
 
-def write_trace_csv(records, path) -> None:
-    """Dump instrumented step records as ``step,W,accepted,|S|`` CSV."""
+def write_trace_csv(events, path) -> None:
+    """Dump observed :class:`StepEvent` s as ``step,W,accepted,|S|`` CSV."""
     with open(path, "w", encoding="utf-8") as fh:
         fh.write("step,W,accepted,size\n")
-        for r in records:
-            fh.write(f"{r.step},{r.w!r},{int(r.accepted)},{r.size}\n")
-
-
-def brute_force_optimum(g, params, max_n: int = 20):
-    """Exact argmax of W over all admissible nonempty subsets.
-
-    Exponential-time test oracle; refuses graphs larger than ``max_n``.
-    Ties are broken toward the lexicographically smallest member tuple.
-    Returns ``(members, score)``.
-    """
-    n = g.n_nodes
-    if n > max_n:
-        raise ValueError(f"brute force refused: {n} nodes > cap {max_n}")
-    top = max_admissible_size(n, params.rho)
-    if top < 1:
-        raise ValueError(f"no admissible subset exists for N={n}, rho={params.rho}")
-
-    adj = _dense_adjacency(g)
-    row_sums = adj.sum(axis=1)
-    col_sums = adj.sum(axis=0)
-
-    best_w = -math.inf
-    best_members = None
-    best_counts = None
-    for size in range(1, top + 1):
-        for combo in itertools.combinations(range(n), size):
-            idx = list(combo)
-            o_s = float(adj[np.ix_(idx, idx)].sum())
-            b_out = float(row_sums[idx].sum()) - o_s
-            b_in = float(col_sums[idx].sum()) - o_s
-            w = value_from_counts(o_s, b_in, b_out, size, n, params)
-            if w > best_w or (w == best_w and combo < best_members):
-                best_w = w
-                best_members = combo
-                best_counts = (o_s, b_in, b_out, size)
-    return best_members, score_from_counts(*best_counts, n, params)
-
-
-def _dense_adjacency(g) -> np.ndarray:
-    adj = np.zeros((g.n_nodes, g.n_nodes))
-    adj[g.edge_src, g.edge_dst] = g.edge_weight
-    return adj
+        for e in events:
+            fh.write(f"{e.step},{e.w!r},{int(e.accepted)},{e.size}\n")

@@ -6,9 +6,14 @@ incremental machinery, so it can serve as an oracle for the fast paths.
 
 from __future__ import annotations
 
+import itertools
+import math
+from collections import Counter
+
 import numpy as np
 
-from dcex import DirectedGraph
+from dcex import DirectedGraph, max_admissible_size
+from dcex.criterion import score_from_counts, value_from_counts
 
 
 def dense_adj(g: DirectedGraph) -> np.ndarray:
@@ -16,6 +21,62 @@ def dense_adj(g: DirectedGraph) -> np.ndarray:
     for s, d, w in zip(g.edge_src, g.edge_dst, g.edge_weight):
         adj[int(s), int(d)] = float(w)
     return adj
+
+
+def admissible_subsets(g: DirectedGraph, params):
+    """Every chain-admissible nonempty subset with its counts, from dense sums.
+
+    Yields ``(members, (o_s, b_in, b_out, size))`` with ``members`` a sorted
+    tuple, smallest subsets first and lexicographic within a size.
+    """
+    adj = dense_adj(g)
+    row_sums = adj.sum(axis=1)
+    col_sums = adj.sum(axis=0)
+    for size in range(1, max_admissible_size(g.n_nodes, params.rho) + 1):
+        for combo in itertools.combinations(range(g.n_nodes), size):
+            idx = list(combo)
+            o_s = float(adj[np.ix_(idx, idx)].sum())
+            b_out = float(row_sums[idx].sum()) - o_s
+            b_in = float(col_sums[idx].sum()) - o_s
+            yield combo, (o_s, b_in, b_out, size)
+
+
+def brute_force_optimum(g: DirectedGraph, params, max_n: int = 20):
+    """Exact argmax of W over all admissible nonempty subsets.
+
+    Exponential-time test oracle; refuses graphs larger than ``max_n``.
+    Ties are broken toward the lexicographically smallest member tuple.
+    Returns ``(members, score)``.
+    """
+    n = g.n_nodes
+    if n > max_n:
+        raise ValueError(f"brute force refused: {n} nodes > cap {max_n}")
+    if max_admissible_size(n, params.rho) < 1:
+        raise ValueError(f"no admissible subset exists for N={n}, rho={params.rho}")
+    best_w = -math.inf
+    best_members = None
+    best_counts = None
+    for combo, counts in admissible_subsets(g, params):
+        w = value_from_counts(*counts, n, params)
+        if w > best_w or (w == best_w and combo < best_members):
+            best_w = w
+            best_members = combo
+            best_counts = counts
+    return best_members, score_from_counts(*best_counts, n, params)
+
+
+class VisitCounter:
+    """Chain observer counting how many steps end in each subset."""
+
+    def __init__(self):
+        self.counts: Counter = Counter()
+
+    def __call__(self, event, state) -> None:
+        self.counts[frozenset(state.members)] += 1
+
+    def ranked(self) -> list[frozenset]:
+        """Visited subsets, most frequent first (ties in first-visit order)."""
+        return [s for s, _ in self.counts.most_common()]
 
 
 def reference_counts(adj: np.ndarray, members):
@@ -54,16 +115,22 @@ def reference_score(adj: np.ndarray, members, rho, n, mode="directed") -> float:
     )
 
 
-def directed_gnp(n: int, p: float, seed: int, max_weight: int = 1) -> DirectedGraph:
+def directed_gnp(
+    n: int, p: float, seed: int, max_weight: int = 1, float_weights: bool = False
+) -> DirectedGraph:
     """Random directed graph; each ordered pair present independently w.p. p.
 
     Integer weights in 1..max_weight keep float arithmetic exact in tests.
+    ``float_weights`` draws weights uniform in [0.5, 2] instead, whose sums
+    round, so the order of a summation shows in the last bits.
     """
     rng = np.random.default_rng(seed)
     mask = rng.random((n, n)) < p
     np.fill_diagonal(mask, False)
     src, dst = np.nonzero(mask)
-    if max_weight == 1:
+    if float_weights:
+        weights = rng.uniform(0.5, 2.0, size=len(src))
+    elif max_weight == 1:
         weights = np.ones(len(src))
     else:
         weights = rng.integers(1, max_weight + 1, size=len(src)).astype(float)

@@ -16,7 +16,6 @@ import pytest
 
 from dcex import (
     BenchmarkSpec,
-    brute_force_optimum,
     derive_seed,
     extract_all,
     figure1_spec,
@@ -37,7 +36,7 @@ from dcex.evaluation import best_pair_adjusted_jaccard
 from dcex.extraction import ExtractionConfig
 from dcex.sampler import ChainConfig
 
-from helpers import directed_gnp
+from helpers import brute_force_optimum, directed_gnp
 
 
 def report(criterion, detail):

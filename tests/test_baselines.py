@@ -62,22 +62,23 @@ class TestUce:
         # at c equals the n=0 directed chain at 2c, step for step.
         g = directed_gnp(20, 0.2, seed=31)
         sym = symmetrize(g)
+        ev_sym, ev_dir = [], []
         r_sym = run_chain(
             sym,
             CriterionParams(rho=1.0, n=0.0, mode=MODE_UNDIRECTED),
-            ChainConfig(c=0.05, seed=77, max_steps=5000, patience=5000,
-                        instrument=True),
+            ChainConfig(c=0.05, seed=77, max_steps=5000, patience=5000),
+            observer=lambda e, state: ev_sym.append(e),
         )
         r_dir = run_chain(
             g,
             CriterionParams(rho=1.0, n=0.0),
-            ChainConfig(c=0.10, seed=77, max_steps=5000, patience=5000,
-                        instrument=True),
+            ChainConfig(c=0.10, seed=77, max_steps=5000, patience=5000),
+            observer=lambda e, state: ev_dir.append(e),
         )
         assert sorted(r_sym.best_state.members) == sorted(r_dir.best_state.members)
         assert r_sym.best_score.value == pytest.approx(2 * r_dir.best_score.value)
-        assert len(r_sym.records) == len(r_dir.records)
-        for a, b in zip(r_sym.records, r_dir.records):
+        assert len(ev_sym) == len(ev_dir) == r_sym.steps_run
+        for a, b in zip(ev_sym, ev_dir):
             assert (a.node, a.direction, a.accepted, a.size) == (
                 b.node,
                 b.direction,

@@ -2,7 +2,10 @@ import csv
 import json
 from pathlib import Path
 
+from dcex import derive_seed, load_edge_list, run_chain, symmetrize
 from dcex.cli import main
+from dcex.criterion import MODE_UNDIRECTED, CriterionParams
+from dcex.sampler import ChainConfig, write_trace_csv
 
 REPO_ROOT = Path(__file__).resolve().parent.parent
 FIGURE1_EDGELIST = REPO_ROOT / "data" / "figure1" / "figure1.edgelist"
@@ -98,6 +101,34 @@ class TestExtractCommand:
         assert code == 0
         header = trace.read_text().splitlines()[0]
         assert header == "step,W,accepted,size"
+
+    def test_uce_trace_follows_the_symmetrized_chain(self, tmp_path):
+        args = {"--method": "uce", "--null-replicates": 0, "--max-communities": 1,
+                "--seed": 4}
+        out, trace = tmp_path / "uce.json", tmp_path / "trace.csv"
+        assert run_cli(*self.extract_args(out, **args, **{"--trace": trace})) == 0
+        sym = symmetrize(load_edge_list(FIGURE1_EDGELIST))
+        params = CriterionParams(rho=0.8, n=5, mode=MODE_UNDIRECTED)
+        chain = ChainConfig(c=0.05, max_steps=8000, patience=4000,
+                            seed=derive_seed(4, 0, 0, 0))
+        events = []
+        first = run_chain(sym, params, chain,
+                          observer=lambda e, state: events.append(e))
+        expected = tmp_path / "expected.csv"
+        write_trace_csv(events, expected)
+        assert trace.read_bytes() == expected.read_bytes()
+        # the traced chain is the report's first restart: it cannot beat the
+        # best of all restarts
+        reported = json.loads(out.read_text())["communities"][0]["w"]
+        assert first.best_score.value <= reported
+
+    def test_dmm_trace_exits_2(self, tmp_path, capsys):
+        code = run_cli("extract", "--graph", FIGURE1_EDGELIST, "--method", "dmm",
+                       "--trace", tmp_path / "t.csv", "--out", tmp_path / "p.txt")
+        assert code == 2
+        assert "--trace" in capsys.readouterr().err
+        assert not (tmp_path / "t.csv").exists()
+        assert not (tmp_path / "p.txt").exists()
 
     def test_unknown_method_exits_2(self, tmp_path):
         code = run_cli("extract", "--graph", FIGURE1_EDGELIST, "--method", "xxx",

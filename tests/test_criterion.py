@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from dcex import DirectedGraph, brute_force_optimum
+from dcex import DirectedGraph
 from dcex.criterion import (
     CommunityState,
     CriterionDomainError,
@@ -17,7 +17,13 @@ from dcex.criterion import (
     value_from_counts,
 )
 
-from helpers import dense_adj, directed_gnp, reference_counts, reference_score
+from helpers import (
+    brute_force_optimum,
+    dense_adj,
+    directed_gnp,
+    reference_counts,
+    reference_score,
+)
 
 
 def cycle_with_boundary(boundary_edges):

@@ -230,6 +230,26 @@ class TestExtractAll:
         )
         assert comm.empirical_p <= 0.05
 
+    @pytest.mark.parametrize("nulls, quantile", [(9, 0.9), (4, 0.8)])
+    def test_p_at_the_cutoff_is_significant(self, nulls, quantile):
+        # An observed W above every null gives p = 1/(R+1) = 1 - q exactly,
+        # which must pass although the float 1 - q lies just below it.
+        spec = BenchmarkSpec(n1=10, n2=10, n0=30, p1=0.95, p2=0.02, seed=1)
+        g, _ = generate_benchmark(spec)
+        cfg = fast_config(
+            seed=3,
+            chain=ChainConfig(c=0.05, seed=3, max_steps=6000, patience=3000),
+            max_communities=1,
+            null_replicates=nulls,
+            significance_quantile=quantile,
+        )
+        rep = extract_all(g, cfg)
+        assert len(rep.communities) == 1
+        comm = rep.communities[0]
+        assert all(v < comm.score.value for v in comm.null_scores)
+        assert comm.empirical_p == 1 / (nulls + 1)
+        assert rep.stopped_reason == STOP_MAX_COMMUNITIES
+
     def test_effective_size_uses_residual_node_count(self):
         # After removing community 1, the size term of community 2 must be
         # computed against the shrunken graph.

@@ -2,12 +2,25 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
-from dcex import DirectedGraph, brute_force_optimum, run_chain
-from dcex.criterion import CriterionParams, is_admissible_size, max_admissible_size
+from dcex import CommunityState, DirectedGraph, run_chain, score
+from dcex.criterion import (
+    CriterionParams,
+    is_admissible_size,
+    max_admissible_size,
+    value_from_counts,
+)
 from dcex.sampler import ChainConfig, ChainConfigError, write_trace_csv
 
-from helpers import directed_gnp, two_cliques_graph
+from helpers import (
+    VisitCounter,
+    admissible_subsets,
+    brute_force_optimum,
+    directed_gnp,
+    two_cliques_graph,
+)
 
 
 PARAMS_N1 = CriterionParams(rho=1.0, n=1.0)
@@ -26,6 +39,13 @@ def mini_community_graph(extra, boundary=((0, 3), (1, 4))):
     return DirectedGraph(9, edges)
 
 
+def run_observed(g, params, cfg):
+    """Run a chain and return its result with every step's event."""
+    events = []
+    result = run_chain(g, params, cfg, observer=lambda e, state: events.append(e))
+    return result, events
+
+
 def assert_same_result(a, b):
     assert sorted(a.best_state.members) == sorted(b.best_state.members)
     assert a.best_state.counts() == b.best_state.counts()
@@ -34,18 +54,24 @@ def assert_same_result(a, b):
     assert a.accepted == b.accepted
     assert a.acceptance_rate == b.acceptance_rate
     assert a.stopped == b.stopped
-    assert a.w_trace == b.w_trace
-    assert a.visit_frequency == b.visit_frequency
 
 
 class TestDeterminism:
     def test_same_seed_same_result(self):
         g = directed_gnp(20, 0.2, seed=8)
-        cfg = ChainConfig(c=0.1, seed=99, max_steps=5000, patience=5000,
-                          trace_stride=100, record_frequencies=True)
-        r1 = run_chain(g, PARAMS_N1, cfg)
-        r2 = run_chain(g, PARAMS_N1, cfg)
+        cfg = ChainConfig(c=0.1, seed=99, max_steps=5000, patience=5000)
+        r1, events1 = run_observed(g, PARAMS_N1, cfg)
+        r2, events2 = run_observed(g, PARAMS_N1, cfg)
         assert_same_result(r1, r2)
+        assert events1 == events2
+
+    @pytest.mark.parametrize("hastings", [False, True])
+    def test_observer_does_not_change_the_chain(self, hastings):
+        g = directed_gnp(30, 0.15, seed=9, float_weights=True)
+        cfg = ChainConfig(c=0.2, seed=4, max_steps=5000, patience=2000,
+                          hastings_corrected=hastings)
+        observed, _ = run_observed(g, PARAMS_N1, cfg)
+        assert_same_result(run_chain(g, PARAMS_N1, cfg), observed)
 
 
 class TestOracleAgreement:
@@ -88,11 +114,10 @@ class TestOracleAgreement:
 class TestAcceptanceRule:
     def test_decisions_replay_from_records(self):
         g = directed_gnp(15, 0.25, seed=3)
-        cfg = ChainConfig(c=0.3, seed=5, max_steps=20_000, patience=20_000,
-                          instrument=True)
-        r = run_chain(g, PARAMS_N1, cfg)
+        cfg = ChainConfig(c=0.3, seed=5, max_steps=20_000, patience=20_000)
+        _, events = run_observed(g, PARAMS_N1, cfg)
         checked = 0
-        for rec in r.records:
+        for rec in events:
             if rec.delta is None:
                 assert not rec.accepted  # automatic rejection
                 continue
@@ -108,11 +133,10 @@ class TestAcceptanceRule:
 
     def test_large_c_accepts_no_downhill_move(self):
         g = directed_gnp(15, 0.3, seed=4)
-        cfg = ChainConfig(c=1000.0, seed=6, max_steps=10_000, patience=10_000,
-                          instrument=True)
-        r = run_chain(g, PARAMS_N1, cfg)
+        cfg = ChainConfig(c=1000.0, seed=6, max_steps=10_000, patience=10_000)
+        r, events = run_observed(g, PARAMS_N1, cfg)
         assert r.steps_run == 10_000
-        for rec in r.records:
+        for rec in events:
             if rec.accepted:
                 assert rec.delta is not None and rec.delta >= 0.0
 
@@ -128,26 +152,93 @@ class TestVisitedStates:
     def test_every_visited_state_admissible(self):
         params = CriterionParams(rho=0.7, n=2.0)
         g = directed_gnp(18, 0.25, seed=12)
-        cfg = ChainConfig(c=0.05, seed=2, max_steps=20_000, patience=20_000,
-                          instrument=True)
-        r = run_chain(g, params, cfg)
+        cfg = ChainConfig(c=0.05, seed=2, max_steps=20_000, patience=20_000)
+        _, events = run_observed(g, params, cfg)
         top = max_admissible_size(18, 0.7)
-        for rec in r.records:
+        for rec in events:
             assert 1 <= rec.size <= top
             assert is_admissible_size(rec.size, 18, 0.7)
 
     def test_best_score_dominates_trace(self):
         g = directed_gnp(16, 0.3, seed=13)
-        cfg = ChainConfig(c=0.1, seed=3, max_steps=20_000, patience=20_000,
-                          trace_stride=50, instrument=True)
-        r = run_chain(g, PARAMS_N1, cfg)
-        assert r.w_trace
-        assert all(r.best_score.value >= w for _, w in r.w_trace)
-        running_best = -math.inf
-        for rec in r.records:
-            running_best = max(running_best, rec.w)
+        cfg = ChainConfig(c=0.1, seed=3, max_steps=20_000, patience=20_000)
+        r, events = run_observed(g, PARAMS_N1, cfg)
+        assert len(events) == r.steps_run == 20_000
         # best is either the initial state or the best state ever stepped on
-        assert r.best_score.value >= running_best - 1e-12
+        assert r.best_score.value >= max(e.w for e in events)
+
+
+class TestBestScore:
+    def test_reported_w_is_the_w_of_the_reported_set(self):
+        # Float weights make incremental and from-scratch sums differ in the
+        # last bits; the reported W must be the reported set's, exactly, and
+        # must not depend on the order its members are listed in.
+        params = CriterionParams(rho=0.8, n=5.0)
+        g = directed_gnp(200, 0.05, seed=17, float_weights=True)
+        for seed in range(10):
+            r = run_chain(g, params, ChainConfig(c=0.05, seed=seed,
+                                                 max_steps=20_000,
+                                                 patience=20_000))
+            members = sorted(r.best_state.members)
+            assert r.best_score == score(g, r.best_state, params)
+            assert r.best_score == score(g, members[::-1], params)
+
+    def test_counts_depend_on_the_set_alone(self):
+        # Node ids well above the set's hash-table size collide, so a set's
+        # iteration order follows its insertion order.
+        g = directed_gnp(2000, 0.01, seed=17, float_weights=True)
+        rng = np.random.default_rng(5)
+        members = rng.choice(2000, size=40, replace=False).tolist()
+        ref = CommunityState.from_members(g, sorted(members)).counts()
+        for _ in range(20):
+            rng.shuffle(members)
+            assert CommunityState.from_members(g, members).counts() == ref
+
+
+@st.composite
+def float_weighted_graphs(draw):
+    n = draw(st.integers(6, 30))
+    node = st.integers(0, n - 1)
+    weight = st.floats(0.01, 100.0, allow_nan=False, allow_infinity=False)
+    triples = draw(st.lists(st.tuples(node, node, weight),
+                            min_size=n, max_size=6 * n))
+    edges = [(a, b, w) for a, b, w in triples if a != b]
+    assume(edges)
+    return DirectedGraph(n, edges)
+
+
+class TestIncrementalCounts:
+    @pytest.mark.parametrize("hastings", [False, True])
+    @settings(max_examples=10, deadline=None, derandomize=True)
+    @given(
+        g=float_weighted_graphs(),
+        c=st.sampled_from([0.01, 0.3, 3.0]),
+        penalty=st.sampled_from([0.0, 1.0, 5.0]),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_counts_match_from_scratch_at_every_step(
+        self, hastings, g, c, penalty, seed
+    ):
+        params = CriterionParams(rho=0.8, n=penalty)
+        # Counts are sums of edge weights, so the graph's total weight is
+        # their natural scale; a count that is 0 from scratch may carry
+        # rounding residue incrementally.
+        tol = 1e-9 * g.total_weight
+        checked = []
+
+        def check(event, state):
+            fresh = CommunityState.from_members(g, state.members)
+            assert state.size == fresh.size == event.size
+            for inc, ref in zip(state.counts()[:3], fresh.counts()[:3]):
+                assert math.isclose(inc, ref, rel_tol=1e-9, abs_tol=tol)
+            checked.append(event.step)
+
+        start = int(g.edge_src[0])
+        cfg = ChainConfig(c=c, seed=seed, max_steps=5000, patience=5000,
+                          init_members=(start,), hastings_corrected=hastings)
+        r = run_chain(g, params, cfg, observer=check)
+        assert r.steps_run == 5000
+        assert checked == list(range(1, 5001))
 
 
 class TestFrequencyRanking:
@@ -173,43 +264,26 @@ class TestFrequencyRanking:
             max_steps=1_000_000,
             patience=1_000_000,
             init_members=(0,),
-            record_frequencies=True,
             hastings_corrected=True,
         )
-        r = run_chain(g, PARAMS_N1, cfg)
-        freq = dict(r.visit_frequency)
-        ranked = [s for s, _ in sorted(freq.items(), key=lambda kv: -kv[1])[:3]]
-        assert ranked == [s for s, _ in top3]
+        visits = VisitCounter()
+        run_chain(g, PARAMS_N1, cfg, observer=visits)
+        assert visits.ranked()[:3] == [s for s, _ in top3]
 
     def test_frequency_counts_bounded_by_steps(self):
         g = mini_community_graph([(4, 7, 1.0)])
-        cfg = ChainConfig(c=0.5, seed=7, max_steps=5000, patience=5000,
-                          record_frequencies=True)
-        r = run_chain(g, PARAMS_N1, cfg)
-        assert sum(c for _, c in r.visit_frequency) <= r.steps_run
-        assert len(r.visit_frequency) <= 32
+        cfg = ChainConfig(c=0.5, seed=7, max_steps=5000, patience=5000)
+        visits = VisitCounter()
+        r = run_chain(g, PARAMS_N1, cfg, observer=visits)
+        assert sum(visits.counts.values()) == r.steps_run
 
 
 def _exact_top_subsets(g, params, k):
-    import itertools
-
-    from helpers import dense_adj
-    from dcex.criterion import value_from_counts
-
-    adj = dense_adj(g)
-    rows = adj.sum(1)
-    cols = adj.sum(0)
-    out = {}
-    for size in range(1, max_admissible_size(g.n_nodes, params.rho) + 1):
-        for combo in itertools.combinations(range(g.n_nodes), size):
-            idx = list(combo)
-            o = float(adj[np.ix_(idx, idx)].sum())
-            bo = float(rows[idx].sum()) - o
-            bi = float(cols[idx].sum()) - o
-            out[frozenset(combo)] = value_from_counts(
-                o, bi, bo, size, g.n_nodes, params
-            )
-    return sorted(out.items(), key=lambda kv: -kv[1])[:k]
+    scored = [
+        (frozenset(members), value_from_counts(*counts, g.n_nodes, params))
+        for members, counts in admissible_subsets(g, params)
+    ]
+    return sorted(scored, key=lambda kv: -kv[1])[:k]
 
 
 class TestStopping:
@@ -274,23 +348,26 @@ class TestConfigValidation:
 
 
 class TestTrace:
-    def test_w_trace_matches_instrument_records(self):
+    def test_observer_sees_every_step_and_the_live_state(self):
         g = directed_gnp(14, 0.3, seed=21)
-        cfg = ChainConfig(c=0.1, seed=4, max_steps=2000, patience=2000,
-                          trace_stride=100, instrument=True)
-        r = run_chain(g, PARAMS_N1, cfg)
-        by_step = {rec.step: rec.w for rec in r.records}
-        for step, w in r.w_trace:
-            assert step % 100 == 0
-            assert by_step[step] == w
+        cfg = ChainConfig(c=0.1, seed=4, max_steps=2000, patience=2000)
+        seen = []
+
+        def observe(event, state):
+            w = value_from_counts(*state.counts(), g.n_nodes, PARAMS_N1)
+            seen.append((event.step, event.size, event.w, state.size, w))
+
+        r = run_chain(g, PARAMS_N1, cfg, observer=observe)
+        assert [step for step, *_ in seen] == list(range(1, r.steps_run + 1))
+        for _, size, w, live_size, live_w in seen:
+            assert (size, w) == (live_size, live_w)
 
     def test_trace_csv_format(self, tmp_path):
         g = directed_gnp(10, 0.4, seed=22)
-        cfg = ChainConfig(c=0.1, seed=5, max_steps=200, patience=200,
-                          instrument=True)
-        r = run_chain(g, PARAMS_N1, cfg)
+        cfg = ChainConfig(c=0.1, seed=5, max_steps=200, patience=200)
+        r, events = run_observed(g, PARAMS_N1, cfg)
         path = tmp_path / "trace.csv"
-        write_trace_csv(r.records, path)
+        write_trace_csv(events, path)
         lines = path.read_text().strip().splitlines()
         assert lines[0] == "step,W,accepted,size"
         assert len(lines) == r.steps_run + 1
