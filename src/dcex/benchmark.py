@@ -110,58 +110,52 @@ def generate(
     group[s2_nodes] = LABEL_S2
     group[s0_nodes] = LABEL_BACKGROUND
 
-    pairs = _within_pairs(s12_nodes, spec.p1, rng)
-    pairs += _within_pairs(s0_nodes, spec.p2, rng)
-    pairs += _between_pairs(s12_nodes, s0_nodes, spec.p2, rng)
+    blocks = [
+        _within_pairs(s12_nodes, spec.p1, rng),
+        _within_pairs(s0_nodes, spec.p2, rng),
+        _between_pairs(s12_nodes, s0_nodes, spec.p2, rng),
+    ]
+    a = np.concatenate([i for i, _ in blocks])
+    b = np.concatenate([j for _, j in blocks])
 
-    edges = []
-    for a, b in pairs:
-        ga, gb = group[a], group[b]
-        if ga == gb:
-            if rng.random() < 0.5:
-                a, b = b, a
-            edges.append((a, b, 1.0))
-        elif ga == LABEL_S2:
-            edges.append((a, b, 1.0))
-        elif gb == LABEL_S2:
-            edges.append((b, a, 1.0))
-        elif ga == LABEL_S1:
-            edges.append((b, a, 1.0))
-        else:  # gb == LABEL_S1
-            edges.append((a, b, 1.0))
+    # Pair (a, b) becomes a -> b unless flipped: a same-group pair flips on
+    # its own uniform draw (one per such pair, in pair order); otherwise the
+    # edge leaves S2 if either end is in S2, and else enters S1.
+    ga, gb = group[a], group[b]
+    same = ga == gb
+    flip = (ga != LABEL_S2) & ((gb == LABEL_S2) | (ga == LABEL_S1))
+    flip[same] = rng.random(int(same.sum())) < 0.5
+    src = np.where(flip, b, a)
+    dst = np.where(flip, a, b)
 
-    graph = DirectedGraph(n, edges)
+    graph = DirectedGraph.from_arrays(n, src, dst, np.ones(len(src)))
     truth = GroundTruth(labels=tuple(group.tolist()))
     return graph, truth
 
 
-def _within_pairs(nodes, p, rng) -> list[tuple[int, int]]:
+def _within_pairs(nodes, p, rng) -> tuple[np.ndarray, np.ndarray]:
     """Sample unordered pairs inside a node block, each present w.p. ``p``."""
     k = len(nodes)
     total = k * (k - 1) // 2
     if total == 0 or p == 0.0:
-        return []
+        return nodes[:0], nodes[:0]
     count = int(rng.binomial(total, p))
     picks = sample_without_replacement(total, count, rng)
-    if not picks.size:
-        return []
     # cum[i] = number of pairs (a, b), a < b, with a < i.
     row_lengths = np.arange(k - 1, -1, -1, dtype=np.int64)
     cum = np.concatenate([[0], np.cumsum(row_lengths[:-1])])
     i = np.searchsorted(cum, picks, side="right") - 1
     j = picks - cum[i] + i + 1
-    return list(zip(nodes[i].tolist(), nodes[j].tolist()))
+    return nodes[i], nodes[j]
 
 
-def _between_pairs(a_nodes, b_nodes, p, rng) -> list[tuple[int, int]]:
+def _between_pairs(a_nodes, b_nodes, p, rng) -> tuple[np.ndarray, np.ndarray]:
     """Sample unordered pairs across two disjoint blocks, each present w.p. ``p``."""
     total = len(a_nodes) * len(b_nodes)
     if total == 0 or p == 0.0:
-        return []
+        return a_nodes[:0], b_nodes[:0]
     count = int(rng.binomial(total, p))
     picks = sample_without_replacement(total, count, rng)
-    if not picks.size:
-        return []
     i = picks // len(b_nodes)
     j = picks % len(b_nodes)
-    return list(zip(a_nodes[i].tolist(), b_nodes[j].tolist()))
+    return a_nodes[i], b_nodes[j]

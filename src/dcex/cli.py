@@ -13,7 +13,6 @@ import csv
 import json
 import sys
 import time
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import replace
 from itertools import product
 from pathlib import Path
@@ -30,6 +29,7 @@ from .extraction import (
     NULL_SAME_EDGE_COUNT,
     ExtractionConfig,
     extract_all,
+    map_jobs,
 )
 from .graph import load_edge_list, save_edge_list, symmetrize
 from .sampler import ChainConfig, run_chain, write_trace_csv
@@ -267,27 +267,24 @@ def _parse_floats(text: str) -> list[float]:
     return vals
 
 
-def _sweep_task(payload: dict) -> list[dict]:
-    """One (cell, replicate) unit: generate, run every method, score. Picklable."""
-    spec = BenchmarkSpec(
-        n1=payload["n1"],
-        n2=payload["n2"],
-        n0=payload["n0"],
-        p1=payload["p1"],
-        p2=payload["p2"],
-        seed=payload["bench_seed"],
-    )
+def _sweep_task(task) -> list[dict]:
+    """One (cell, replicate) unit: generate, run every method, score. Picklable.
+
+    ``task`` is ``(spec, config, methods, parts)``; each chain method runs
+    ``config`` with its own chain seed derived from ``spec.seed``.
+    """
+    spec, config, methods, parts = task
     graph, truth = generate(spec)
     truth_pair = (truth.s1, truth.s2)
     rows = []
-    for mi, method in enumerate(payload["methods"]):
+    for mi, method in enumerate(methods):
         row = {
-            "seed": payload["bench_seed"],
+            "seed": spec.seed,
             "method": method,
-            "rho": payload["rho"],
-            "n": payload["n"],
-            "p1": payload["p1"],
-            "p2": payload["p2"],
+            "rho": config.criterion.rho,
+            "n": config.criterion.n,
+            "p1": spec.p1,
+            "p2": spec.p2,
             "adjusted_jaccard": "",
             "runtime_ms": "",
             "error": "",
@@ -295,30 +292,13 @@ def _sweep_task(payload: dict) -> list[dict]:
         t0 = time.perf_counter()
         try:
             if method == "dmm":
-                labels = run_dmm(graph, DmmConfig(target_parts=payload["parts"]))
+                labels = run_dmm(graph, DmmConfig(target_parts=parts))
                 cand = labels.as_sets()
                 aj, _ = best_pair_adjusted_jaccard(truth_pair, cand)
             else:
-                config = ExtractionConfig(
-                    criterion=CriterionParams(
-                        rho=payload["rho"], n=payload["n"], mode=MODE_DIRECTED
-                    ),
-                    chain=ChainConfig(
-                        c=payload["c"],
-                        max_steps=payload["max_steps"],
-                        patience=payload["patience"],
-                        seed=derive_seed(payload["bench_seed"], 100 + mi),
-                    ),
-                    restarts=payload["restarts"],
-                    max_communities=2,
-                    null_replicates=0,
-                )
-                report = (
-                    extract_all(graph, config)
-                    if method == "dce"
-                    else run_uce(graph, config)
-                )
-                found = report.member_sets()
+                chain = replace(config.chain, seed=derive_seed(spec.seed, 100 + mi))
+                run = extract_all if method == "dce" else run_uce
+                found = run(graph, replace(config, chain=chain)).member_sets()
                 c1 = found[0] if len(found) > 0 else set()
                 c2 = found[1] if len(found) > 1 else set()
                 aj, _ = best_pair_adjusted_jaccard(truth_pair, [c1, c2])
@@ -342,40 +322,23 @@ def _cmd_sweep(args) -> int:
             raise ValueError(f"unknown method {m!r}")
     if args.replicates < 0:
         raise ValueError("replicates must be >= 0")
-    if args.jobs < 1:
-        raise ValueError("jobs must be >= 1")
 
-    cells = list(product(rhos, ns, p1s, p2s))
-    payloads = []
-    for ci, (rho, n, p1, p2) in enumerate(cells):
-        # Validates the cell's generator parameters up front.
-        BenchmarkSpec(n1=args.n1, n2=args.n2, n0=args.n0, p1=p1, p2=p2)
-        CriterionParams(rho=rho, n=n)
+    chain = ChainConfig(c=args.c, max_steps=args.max_steps, patience=args.patience)
+    tasks = []
+    for ci, (rho, n, p1, p2) in enumerate(product(rhos, ns, p1s, p2s)):
+        # Both are built, and so validated, even when there are no replicates.
+        spec = BenchmarkSpec(n1=args.n1, n2=args.n2, n0=args.n0, p1=p1, p2=p2)
+        config = ExtractionConfig(
+            criterion=CriterionParams(rho=rho, n=n, mode=MODE_DIRECTED),
+            chain=chain,
+            restarts=args.restarts,
+            max_communities=2,
+            null_replicates=0,
+        )
         for rep in range(args.replicates):
-            payloads.append(
-                {
-                    "n1": args.n1,
-                    "n2": args.n2,
-                    "n0": args.n0,
-                    "p1": p1,
-                    "p2": p2,
-                    "rho": rho,
-                    "n": n,
-                    "c": args.c,
-                    "restarts": args.restarts,
-                    "max_steps": args.max_steps,
-                    "patience": args.patience,
-                    "parts": args.parts,
-                    "methods": methods,
-                    "bench_seed": derive_seed(args.seed, ci, rep),
-                }
-            )
-
-    if args.jobs > 1 and payloads:
-        with ProcessPoolExecutor(max_workers=args.jobs) as pool:
-            all_rows = list(pool.map(_sweep_task, payloads))
-    else:
-        all_rows = [_sweep_task(p) for p in payloads]
+            tasks.append((replace(spec, seed=derive_seed(args.seed, ci, rep)),
+                          config, methods, args.parts))
+    all_rows = map_jobs(_sweep_task, tasks, args.jobs)
 
     with open(args.out, "w", encoding="utf-8", newline="") as fh:
         writer = csv.DictWriter(fh, fieldnames=SWEEP_COLUMNS)
@@ -391,33 +354,16 @@ def _cmd_sweep(args) -> int:
 # -- scaling ---------------------------------------------------------------
 
 
-def _scaling_task(payload: dict) -> dict:
-    """Time a single-community chain search on one benchmark replicate.
+def _scaling_task(task) -> tuple[float, int]:
+    """Time one chain search ``(spec, params, chain)``: (runtime in ms, steps).
 
-    Background density scales as 10/N so the expected degree stays flat;
-    the run times the community search itself (no significance chains).
+    The run times the community search itself (no significance chains).
     """
-    size = payload["size"]
-    spec = BenchmarkSpec(
-        n1=40,
-        n2=50,
-        n0=size - 90,
-        p1=0.7,
-        p2=min(1.0, 10.0 / size),
-        seed=payload["bench_seed"],
-    )
+    spec, params, chain = task
     graph, _ = generate(spec)
-    params = CriterionParams(rho=payload["rho"], n=payload["n"], mode=MODE_DIRECTED)
-    chain = ChainConfig(
-        c=payload["c"],
-        max_steps=payload["max_steps"],
-        patience=payload["patience"],
-        seed=payload["chain_seed"],
-    )
     t0 = time.perf_counter()
     result = run_chain(graph, params, chain)
-    runtime_ms = (time.perf_counter() - t0) * 1e3
-    return {"size": size, "runtime_ms": runtime_ms, "steps": result.steps_run}
+    return (time.perf_counter() - t0) * 1e3, result.steps_run
 
 
 def _cmd_scaling(args) -> int:
@@ -428,39 +374,31 @@ def _cmd_scaling(args) -> int:
         raise ValueError(f"expected comma-separated sizes, got {args.sizes!r}") from None
     if not sizes:
         raise ValueError("empty size list")
+    if len(set(sizes)) != len(sizes):
+        raise ValueError(f"duplicate scaling sizes in {args.sizes!r}")
     if min(sizes) < 100:
         raise ValueError("scaling sizes must be >= 100")
     if args.replicates < 1:
         raise ValueError("replicates must be >= 1")
-    if args.jobs < 1:
-        raise ValueError("jobs must be >= 1")
 
-    payloads = []
+    params = CriterionParams(rho=args.rho, n=args.n, mode=MODE_DIRECTED)
+    chain = ChainConfig(c=args.c, max_steps=args.max_steps, patience=args.patience)
+    tasks = []
     for si, size in enumerate(sizes):
         for rep in range(args.replicates):
-            payloads.append(
-                {
-                    "size": size,
-                    "rho": args.rho,
-                    "n": args.n,
-                    "c": args.c,
-                    "max_steps": args.max_steps,
-                    "patience": args.patience,
-                    "bench_seed": derive_seed(args.seed, si, rep, 0),
-                    "chain_seed": derive_seed(args.seed, si, rep, 1),
-                }
+            # Background density 10/N keeps the expected degree flat.
+            spec = BenchmarkSpec(n1=40, n2=50, n0=size - 90, p1=0.7,
+                                 p2=min(1.0, 10.0 / size),
+                                 seed=derive_seed(args.seed, si, rep, 0))
+            tasks.append(
+                (spec, params, replace(chain, seed=derive_seed(args.seed, si, rep, 1)))
             )
-    if args.jobs > 1 and payloads:
-        with ProcessPoolExecutor(max_workers=args.jobs) as pool:
-            results = list(pool.map(_scaling_task, payloads))
-    else:
-        results = [_scaling_task(p) for p in payloads]
+    results = map_jobs(_scaling_task, tasks, args.jobs)
 
     rows = []
     fit_points = []
-    for size in sizes:
-        runtimes = [r["runtime_ms"] for r in results if r["size"] == size]
-        steps = [r["steps"] for r in results if r["size"] == size]
+    for si, size in enumerate(sizes):
+        runtimes, steps = zip(*results[si * args.replicates:(si + 1) * args.replicates])
         mean_rt = sum(runtimes) / len(runtimes)
         rows.append(
             {

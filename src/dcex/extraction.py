@@ -185,10 +185,11 @@ def _randomize_same_edge_count(g, rng) -> DirectedGraph:
     src = picks // (n - 1) if n > 1 else picks
     rem = picks % (n - 1) if n > 1 else picks
     dst = rem + (rem >= src)
-    edges = [(int(s), int(d), 1.0) for s, d in zip(src, dst)]
     weights_discarded = bool(np.any(g.edge_weight != 1.0))
     meta = {"null_model": NULL_SAME_EDGE_COUNT, "weights_discarded": weights_discarded}
-    return DirectedGraph(n, edges, labels=g.labels, meta=meta)
+    return DirectedGraph.from_arrays(
+        n, src, dst, np.ones(m), labels=g.labels, meta=meta
+    )
 
 
 def _randomize_degree_preserving(g, rng) -> DirectedGraph:
@@ -196,12 +197,10 @@ def _randomize_degree_preserving(g, rng) -> DirectedGraph:
         raise GraphValidationError(
             "degree_preserving randomization needs at least 2 edges"
         )
-    edges = [
-        [int(s), int(d), float(w)]
-        for s, d, w in zip(g.edge_src, g.edge_dst, g.edge_weight)
-    ]
-    eset = {(e[0], e[1]) for e in edges}
-    n_edges = len(edges)
+    src = g.edge_src.tolist()
+    dst = g.edge_dst.tolist()
+    eset = set(zip(src, dst))
+    n_edges = len(src)
     target = 10 * n_edges
     max_attempts = 20 * target
     accepted = 0
@@ -217,8 +216,8 @@ def _randomize_degree_preserving(g, rng) -> DirectedGraph:
         attempts += 1
         if ia == ic:
             continue
-        a, b, wa = edges[ia]
-        c, d, wc = edges[ic]
+        a, b = src[ia], dst[ia]
+        c, d = src[ic], dst[ic]
         # (a->b, c->d) => (a->d, c->b); skip no-ops, self-loops, duplicates.
         if a == c or b == d or a == d or c == b:
             continue
@@ -228,8 +227,8 @@ def _randomize_degree_preserving(g, rng) -> DirectedGraph:
         eset.discard((c, d))
         eset.add((a, d))
         eset.add((c, b))
-        edges[ia][1] = d
-        edges[ic][1] = b
+        dst[ia] = d
+        dst[ic] = b
         accepted += 1
     meta = {
         "null_model": NULL_DEGREE_PRESERVING,
@@ -237,8 +236,8 @@ def _randomize_degree_preserving(g, rng) -> DirectedGraph:
         "accepted_swaps": accepted,
         "attempts": attempts,
     }
-    return DirectedGraph(
-        g.n_nodes, [tuple(e) for e in edges], labels=g.labels, meta=meta
+    return DirectedGraph.from_arrays(
+        g.n_nodes, g.edge_src, dst, g.edge_weight, labels=g.labels, meta=meta
     )
 
 
@@ -357,7 +356,23 @@ def _null_best_scores(residual, config, master, round_idx, jobs) -> list[float]:
         )
         for i in range(config.null_replicates)
     ]
-    if jobs > 1 and len(payloads) > 1:
-        with ProcessPoolExecutor(max_workers=jobs) as pool:
-            return list(pool.map(_one_null_score, payloads, chunksize=4))
-    return [_one_null_score(p) for p in payloads]
+    return map_jobs(_one_null_score, payloads, jobs)
+
+
+def map_jobs(fn, items: list, jobs: int) -> list:
+    """``[fn(x) for x in items]``, fanned out over ``jobs`` worker processes.
+
+    Results come back in input order for every ``jobs``, so what is built
+    from them does not depend on it.  With ``jobs > 1``, ``fn`` and the items
+    must pickle; the pool is shut down before this returns.
+    """
+    if jobs < 1:
+        raise ValueError("jobs must be >= 1")
+    if jobs == 1 or len(items) <= 1:
+        return [fn(x) for x in items]
+    workers = min(jobs, len(items))
+    # About four chunks per worker: few round trips, and a slow chunk still
+    # leaves the others work to share.
+    chunksize = max(1, len(items) // (4 * workers))
+    with ProcessPoolExecutor(max_workers=workers) as pool:
+        return list(pool.map(fn, items, chunksize=chunksize))

@@ -22,8 +22,15 @@ class DirectedGraph:
 
     Nodes are dense integer ids ``0 .. n_nodes-1``; ``labels``, when present,
     maps them bijectively to external string names.  Duplicate (src, dst)
-    pairs are merged by summing their weights.  Self-loops and non-positive
-    weights are rejected.
+    pairs become one edge whose weight is their sum, taken in input order.
+    Self-loops and non-positive weights are rejected, naming the first bad
+    edge.
+
+    One builder makes every instance from edge columns ``(src, dst,
+    weight)``: it validates them, sums duplicates and computes strengths
+    with numpy, then slices the adjacency lists out of the sorted columns.
+    ``DirectedGraph(n_nodes, edges)`` takes ``(src, dst, weight)`` triples;
+    :meth:`from_arrays` takes the columns.
 
     Instances are immutable after construction and safe to share between
     concurrent readers.  The per-node adjacency lists are plain Python lists
@@ -50,6 +57,18 @@ class DirectedGraph:
     )
 
     def __init__(self, n_nodes, edges=(), labels=None, meta=None):
+        triples = [(int(s), int(d), float(w)) for s, d, w in edges]
+        src, dst, weight = zip(*triples) if triples else ((), (), ())
+        self._build(n_nodes, src, dst, weight, labels, meta)
+
+    @classmethod
+    def from_arrays(cls, n_nodes, src, dst, weight, labels=None, meta=None):
+        """Graph from edge columns: ``src[i] -> dst[i]`` with ``weight[i]``."""
+        g = cls.__new__(cls)
+        g._build(n_nodes, src, dst, weight, labels, meta)
+        return g
+
+    def _build(self, n_nodes, src, dst, weight, labels, meta):
         n_nodes = int(n_nodes)
         if n_nodes < 0:
             raise GraphValidationError("n_nodes must be nonnegative")
@@ -61,53 +80,48 @@ class DirectedGraph:
                 )
             if len(set(labels)) != n_nodes:
                 raise GraphValidationError("node labels must be unique")
+        src = np.asarray(src, dtype=np.int64)
+        dst = np.asarray(dst, dtype=np.int64)
+        weight = np.asarray(weight, dtype=np.float64)
+        _validate_edges(n_nodes, src, dst, weight, labels)
 
-        merged: dict[tuple[int, int], float] = {}
-        for src, dst, w in edges:
-            src = int(src)
-            dst = int(dst)
-            w = float(w)
-            if not (0 <= src < n_nodes and 0 <= dst < n_nodes):
-                raise GraphValidationError(
-                    f"edge ({src}, {dst}) out of range for {n_nodes} nodes"
-                )
-            if src == dst:
-                name = labels[src] if labels is not None else src
-                raise GraphValidationError(f"self-loop at node {name!r}")
-            if not np.isfinite(w) or w <= 0.0:
-                raise GraphValidationError(
-                    f"edge ({src}, {dst}) has non-positive weight {w}"
-                )
-            key = (src, dst)
-            merged[key] = merged.get(key, 0.0) + w
-
-        items = sorted(merged.items())
+        # Stable sort by (src, dst), so each group of duplicates keeps its
+        # input order; bincount then sums every group left to right.
+        # (np.add.reduceat would sum long groups pairwise.)
+        order = np.lexsort((dst, src))
+        src, dst, weight = src[order], dst[order], weight[order]
+        first = np.ones(len(src), dtype=bool)
+        first[1:] = (src[1:] != src[:-1]) | (dst[1:] != dst[:-1])
+        self.edge_src = src[first]
+        self.edge_dst = dst[first]
+        self.edge_weight = _sums(np.cumsum(first) - 1, weight, 0)
+        self.edge_count = len(self.edge_src)
+        self.total_weight = float(self.edge_weight.sum())
         self.n_nodes = n_nodes
-        self.edge_count = len(items)
-        self.edge_src = np.array([k[0] for k, _ in items], dtype=np.int64)
-        self.edge_dst = np.array([k[1] for k, _ in items], dtype=np.int64)
-        self.edge_weight = np.array([w for _, w in items], dtype=np.float64)
-        self.total_weight = float(self.edge_weight.sum()) if items else 0.0
 
-        out_nbrs = [[] for _ in range(n_nodes)]
-        out_wts = [[] for _ in range(n_nodes)]
-        in_nbrs = [[] for _ in range(n_nodes)]
-        in_wts = [[] for _ in range(n_nodes)]
-        for (src, dst), w in items:
-            out_nbrs[src].append(dst)
-            out_wts[src].append(w)
-            in_nbrs[dst].append(src)
-            in_wts[dst].append(w)
-        # in_nbrs comes out sorted because items are sorted by (src, dst).
-        self.out_nbrs = out_nbrs
-        self.out_wts = out_wts
-        self.in_nbrs = in_nbrs
-        self.in_wts = in_wts
-        self.adj_nbrs = [
-            sorted(set(out_nbrs[u]) | set(in_nbrs[u])) for u in range(n_nodes)
-        ]
-        self.out_strength = [float(sum(ws)) for ws in out_wts]
-        self.in_strength = [float(sum(ws)) for ws in in_wts]
+        # Edges are sorted by (src, dst); a stable sort by dst orders them by
+        # (dst, src), so the in-neighbours of each node come out sorted too.
+        # The lists share one int object per node and one float per edge,
+        # which keeps a graph's Python objects few.
+        n = n_nodes
+        node = list(range(n)).__getitem__
+        wts = self.edge_weight.tolist()
+        self.out_nbrs, self.out_wts = _split(
+            n, self.edge_src, list(map(node, self.edge_dst.tolist())), wts
+        )
+        by_dst = np.argsort(self.edge_dst, kind="stable")
+        self.in_nbrs, self.in_wts = _split(
+            n,
+            self.edge_dst[by_dst],
+            list(map(node, self.edge_src[by_dst].tolist())),
+            list(map(wts.__getitem__, by_dst.tolist())),
+        )
+        pairs = np.sort(np.concatenate([self.edge_src * n + self.edge_dst,
+                                        self.edge_dst * n + self.edge_src]))
+        pairs = pairs[np.diff(pairs, prepend=-1) != 0]  # faster than np.unique
+        (self.adj_nbrs,) = _split(n, pairs // n, list(map(node, (pairs % n).tolist())))
+        self.out_strength = _sums(self.edge_src, self.edge_weight, n).tolist()
+        self.in_strength = _sums(self.edge_dst, self.edge_weight, n).tolist()
         self.labels = labels
         self.meta = dict(meta) if meta else {}
         self._label_to_id = (
@@ -157,6 +171,36 @@ class DirectedGraph:
             f"DirectedGraph(n_nodes={self.n_nodes}, edges={self.edge_count}, "
             f"m={self.total_weight:g})"
         )
+
+
+def _validate_edges(n_nodes, src, dst, weight, labels) -> None:
+    """Raise for the first edge, in input order, that is out of range, a
+    self-loop, or not of finite positive weight."""
+    out_of_range = (src < 0) | (src >= n_nodes) | (dst < 0) | (dst >= n_nodes)
+    self_loop = src == dst
+    bad = out_of_range | self_loop | ~(np.isfinite(weight) & (weight > 0.0))
+    if not bad.any():
+        return
+    i = int(np.argmax(bad))
+    s, d, w = int(src[i]), int(dst[i]), float(weight[i])
+    if out_of_range[i]:
+        raise GraphValidationError(f"edge ({s}, {d}) out of range for {n_nodes} nodes")
+    if self_loop[i]:
+        name = labels[s] if labels is not None else s
+        raise GraphValidationError(f"self-loop at node {name!r}")
+    raise GraphValidationError(f"edge ({s}, {d}) has non-positive weight {w}")
+
+
+def _sums(index, weight, n) -> np.ndarray:
+    """Float sums of ``weight`` per value of ``index``, each in input order."""
+    return np.bincount(index, weights=weight, minlength=n).astype(np.float64)
+
+
+def _split(n, owner, *columns) -> list[list[list]]:
+    """Each list in ``columns`` cut into ``n`` lists, one per run of node
+    ``0 .. n-1`` in the sorted array ``owner``."""
+    runs = np.searchsorted(owner, np.arange(n + 1)).tolist()
+    return [[col[a:b] for a, b in zip(runs, runs[1:])] for col in columns]
 
 
 def load_edge_list(path, directed: bool = True) -> DirectedGraph:
@@ -218,7 +262,10 @@ def load_edge_list(path, directed: bool = True) -> DirectedGraph:
             if not directed:
                 edges.append((v, u, w))
 
-    return DirectedGraph(len(labels), edges, labels=tuple(labels) if labels else None)
+    src, dst, weight = zip(*edges) if edges else ((), (), ())
+    return DirectedGraph.from_arrays(
+        len(labels), src, dst, weight, labels=tuple(labels) if labels else None
+    )
 
 
 def save_edge_list(g: DirectedGraph, path) -> None:
@@ -236,13 +283,13 @@ def save_edge_list(g: DirectedGraph, path) -> None:
 
 def symmetrize(g: DirectedGraph) -> DirectedGraph:
     """Direction-blind companion graph with A'[i, j] = A[i, j] + A[j, i]."""
-    merged: dict[tuple[int, int], float] = {}
-    for s, d, w in zip(g.edge_src, g.edge_dst, g.edge_weight):
-        s, d, w = int(s), int(d), float(w)
-        merged[(s, d)] = merged.get((s, d), 0.0) + w
-        merged[(d, s)] = merged.get((d, s), 0.0) + w
-    edges = [(s, d, w) for (s, d), w in merged.items()]
-    return DirectedGraph(g.n_nodes, edges, labels=g.labels)
+    return DirectedGraph.from_arrays(
+        g.n_nodes,
+        np.concatenate([g.edge_src, g.edge_dst]),
+        np.concatenate([g.edge_dst, g.edge_src]),
+        np.concatenate([g.edge_weight, g.edge_weight]),
+        labels=g.labels,
+    )
 
 
 def subgraph_complement(g: DirectedGraph, removed) -> tuple[DirectedGraph, list[int]]:
@@ -255,12 +302,17 @@ def subgraph_complement(g: DirectedGraph, removed) -> tuple[DirectedGraph, list[
     for u in removed:
         if not (0 <= u < g.n_nodes):
             raise GraphValidationError(f"removed node {u} out of range")
-    kept = [u for u in range(g.n_nodes) if u not in removed]
-    new_id = {old: new for new, old in enumerate(kept)}
-    edges = [
-        (new_id[int(s)], new_id[int(d)], float(w))
-        for s, d, w in zip(g.edge_src, g.edge_dst, g.edge_weight)
-        if int(s) in new_id and int(d) in new_id
-    ]
+    keep = np.ones(g.n_nodes, dtype=bool)
+    keep[list(removed)] = False
+    kept = np.flatnonzero(keep)
+    new_id = np.cumsum(keep) - 1
+    inside = keep[g.edge_src] & keep[g.edge_dst]
     labels = tuple(g.labels[u] for u in kept) if g.labels is not None else None
-    return DirectedGraph(len(kept), edges, labels=labels), kept
+    sub = DirectedGraph.from_arrays(
+        len(kept),
+        new_id[g.edge_src[inside]],
+        new_id[g.edge_dst[inside]],
+        g.edge_weight[inside],
+        labels=labels,
+    )
+    return sub, kept.tolist()

@@ -138,6 +138,81 @@ def directed_gnp(
     return DirectedGraph(n, edges)
 
 
+def reference_graph(n_nodes: int, edges) -> dict:
+    """What a DirectedGraph on ``edges`` must hold, built the slow way.
+
+    Duplicates are summed through a dict in input order, the pairs sorted,
+    and the adjacency lists and strengths filled edge by edge: the reference
+    for the array builder.  Keys are the graph's attribute names.
+    """
+    merged: dict[tuple[int, int], float] = {}
+    for s, d, w in edges:
+        merged[(s, d)] = merged.get((s, d), 0.0) + w
+    items = sorted(merged.items())
+    out_nbrs = [[] for _ in range(n_nodes)]
+    out_wts = [[] for _ in range(n_nodes)]
+    in_nbrs = [[] for _ in range(n_nodes)]
+    in_wts = [[] for _ in range(n_nodes)]
+    for (s, d), w in items:
+        out_nbrs[s].append(d)
+        out_wts[s].append(w)
+        in_nbrs[d].append(s)
+        in_wts[d].append(w)
+    return {
+        "edge_src": np.array([s for (s, _), _ in items], dtype=np.int64),
+        "edge_dst": np.array([d for (_, d), _ in items], dtype=np.int64),
+        "edge_weight": np.array([w for _, w in items], dtype=np.float64),
+        "out_nbrs": out_nbrs,
+        "out_wts": out_wts,
+        "in_nbrs": in_nbrs,
+        "in_wts": in_wts,
+        "adj_nbrs": [sorted(set(out_nbrs[u]) | set(in_nbrs[u]))
+                     for u in range(n_nodes)],
+        "out_strength": [float(sum(ws)) for ws in out_wts],
+        "in_strength": [float(sum(ws)) for ws in in_wts],
+    }
+
+
+def reference_symmetrized_edges(g: DirectedGraph) -> list:
+    """Edges of ``symmetrize(g)``: each edge's weight added both ways."""
+    edges = []
+    for s, d, w in zip(g.edge_src.tolist(), g.edge_dst.tolist(),
+                       g.edge_weight.tolist()):
+        edges += [(s, d, w), (d, s, w)]
+    return edges
+
+
+def reference_complement(g: DirectedGraph, removed) -> tuple[list, list]:
+    """``(kept, edges)`` of ``subgraph_complement(g, removed)`` by dict lookup."""
+    kept = [u for u in range(g.n_nodes) if u not in set(removed)]
+    new_id = {old: new for new, old in enumerate(kept)}
+    edges = [
+        (new_id[s], new_id[d], w)
+        for s, d, w in zip(g.edge_src.tolist(), g.edge_dst.tolist(),
+                           g.edge_weight.tolist())
+        if s in new_id and d in new_id
+    ]
+    return kept, edges
+
+
+def assert_graph_equals_reference(g: DirectedGraph, ref: dict) -> None:
+    """Arrays equal in value and dtype; lists equal in value and element type."""
+    for name, want in ref.items():
+        got = getattr(g, name)
+        if isinstance(want, np.ndarray):
+            assert got.dtype == want.dtype, name
+            assert np.array_equal(got, want), name
+        else:
+            assert _typed(got) == _typed(want), name
+    assert g.edge_count == len(ref["edge_src"])
+
+
+def _typed(value):
+    if isinstance(value, list):
+        return [_typed(v) for v in value]
+    return type(value), value
+
+
 def two_cliques_graph() -> DirectedGraph:
     """Two bidirectional 5-cliques joined by a single directed edge 0 -> 5."""
     edges = []

@@ -268,6 +268,25 @@ class TestScalingCommand:
         manifest = read_manifest(out)
         assert "fitted_exponent" in manifest["timings"]
 
+    def test_duplicate_sizes_exit_2(self, tmp_path):
+        out = tmp_path / "dup.csv"
+        assert run_cli("scaling", "--sizes", "300,300", "--replicates", 1,
+                       "--out", out) == 2
+        assert not out.exists()
+
+    def test_jobs_flag_gives_same_rows(self, tmp_path):
+        def strip_runtime(path):
+            with open(path) as fh:
+                return [{k: v for k, v in row.items() if "runtime" not in k}
+                        for row in csv.DictReader(fh)]
+
+        seq, par = tmp_path / "seq.csv", tmp_path / "par.csv"
+        args = ["scaling", "--sizes", "150,250", "--replicates", 2, "--seed", 5,
+                "--c", 0.01, "--max-steps", 3000]
+        assert run_cli(*args, "--out", seq) == 0
+        assert run_cli(*args, "--jobs", 2, "--out", par) == 0
+        assert strip_runtime(seq) == strip_runtime(par)
+
     def test_bad_sizes_exit_2(self, tmp_path):
         assert run_cli("scaling", "--sizes", "abc",
                        "--out", tmp_path / "x.csv") == 2

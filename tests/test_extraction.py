@@ -20,6 +20,7 @@ from dcex.extraction import (
     STOP_MAX_COMMUNITIES,
     STOP_NON_SIGNIFICANT,
     ExtractionConfig,
+    map_jobs,
 )
 from dcex.evaluation import adjusted_jaccard
 from dcex.sampler import ChainConfig
@@ -180,6 +181,16 @@ class TestExtractAll:
         r2 = extract_all(g, cfg)
         assert r1.to_dict() == r2.to_dict()
 
+    @pytest.mark.parametrize("model", [NULL_SAME_EDGE_COUNT, NULL_DEGREE_PRESERVING])
+    def test_jobs_do_not_change_the_report(self, model):
+        spec = BenchmarkSpec(n1=8, n2=8, n0=20, p1=0.9, p2=0.05, seed=7)
+        g, _ = generate_benchmark(spec)
+        cfg = fast_config(seed=3, max_communities=2, null_replicates=9,
+                          null_model=model, significance_quantile=0.8)
+        serial = extract_all(g, cfg).to_dict()
+        assert serial["communities"][0]["null_scores"]["count"] == 9
+        assert extract_all(g, cfg, jobs=2).to_dict() == serial
+
     def test_max_communities_zero_gives_empty_report(self):
         g = directed_gnp(20, 0.2, seed=12)
         rep = extract_all(g, fast_config(max_communities=0))
@@ -304,3 +315,14 @@ class TestConfigValidation:
     def test_quantile_open_interval(self):
         with pytest.raises(ValueError):
             fast_config(significance_quantile=1.0)
+
+
+class TestMapJobs:
+    @pytest.mark.parametrize("jobs", [1, 2, 3])
+    def test_results_in_input_order(self, jobs):
+        items = list(range(-7, 7))
+        assert map_jobs(abs, items, jobs) == [abs(x) for x in items]
+
+    def test_jobs_below_one_rejected(self):
+        with pytest.raises(ValueError, match="jobs"):
+            map_jobs(abs, [1, 2], 0)

@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from dcex import (
     DirectedGraph,
@@ -11,7 +13,13 @@ from dcex import (
     symmetrize,
 )
 
-from helpers import directed_gnp
+from helpers import (
+    assert_graph_equals_reference,
+    directed_gnp,
+    reference_complement,
+    reference_graph,
+    reference_symmetrized_edges,
+)
 
 
 def write(tmp_path, text, name="g.edgelist"):
@@ -107,6 +115,74 @@ class TestConstruction:
     def test_duplicate_labels_rejected(self):
         with pytest.raises(GraphValidationError, match="unique"):
             DirectedGraph(2, [], labels=("x", "x"))
+
+    @pytest.mark.parametrize(
+        "edges, message",
+        [
+            ([(0, 1, 1.0), (2, 2, 1.0), (0, 9, 1.0)], "self-loop at node 'c'"),
+            ([(0, 1, 1.0), (0, 9, 1.0), (2, 2, 1.0)], r"edge \(0, 9\) out of range"),
+            ([(1, 0, 0.0), (2, 2, 1.0)], r"edge \(1, 0\) has non-positive weight 0.0"),
+            ([(1, 0, 2.0), (0, 2, float("nan"))], r"edge \(0, 2\) has non-positive"),
+            ([(5, 5, -1.0)], r"edge \(5, 5\) out of range"),
+        ],
+    )
+    def test_invalid_edges_name_the_first_bad_edge(self, edges, message):
+        with pytest.raises(GraphValidationError, match=message):
+            DirectedGraph(3, edges, labels=("a", "b", "c"))
+        src, dst, weight = zip(*edges)
+        with pytest.raises(GraphValidationError, match=message):
+            DirectedGraph.from_arrays(3, src, dst, weight, labels=("a", "b", "c"))
+
+
+@st.composite
+def float_edge_lists(draw):
+    """``(n, edges)``: float weights, some pairs repeated up to 20 times,
+    in shuffled order."""
+    n = draw(st.integers(2, 25))
+    node = st.integers(0, n - 1)
+    pairs = draw(st.lists(st.tuples(node, node).filter(lambda p: p[0] != p[1]),
+                          max_size=40))
+    weight = st.floats(1e-3, 1e3, allow_nan=False, allow_infinity=False)
+    edges = []
+    for s, d in pairs:
+        repeats = draw(st.integers(1, 20))
+        edges += [(s, d, w) for w in draw(st.lists(weight, min_size=repeats,
+                                                   max_size=repeats))]
+    return n, draw(st.permutations(edges))
+
+
+class TestArrayBuilderMatchesReference:
+    @settings(max_examples=200, deadline=None)
+    @given(float_edge_lists())
+    def test_constructor_and_columns(self, case):
+        n, edges = case
+        ref = reference_graph(n, edges)
+        assert_graph_equals_reference(DirectedGraph(n, edges), ref)
+        src, dst, weight = (list(c) for c in zip(*edges)) if edges else ([], [], [])
+        assert_graph_equals_reference(
+            DirectedGraph.from_arrays(n, src, dst, weight), ref
+        )
+
+    @settings(max_examples=100, deadline=None)
+    @given(float_edge_lists())
+    def test_symmetrize(self, case):
+        n, edges = case
+        g = DirectedGraph(n, edges)
+        assert_graph_equals_reference(
+            symmetrize(g), reference_graph(n, reference_symmetrized_edges(g))
+        )
+
+    @settings(max_examples=100, deadline=None)
+    @given(float_edge_lists(), st.data())
+    def test_subgraph_complement(self, case, data):
+        n, edges = case
+        g = DirectedGraph(n, edges)
+        removed = data.draw(st.sets(st.integers(0, n - 1)))
+        sub, kept = subgraph_complement(g, removed)
+        ref_kept, ref_edges = reference_complement(g, removed)
+        assert kept == ref_kept
+        assert sub.n_nodes == len(ref_kept)
+        assert_graph_equals_reference(sub, reference_graph(len(ref_kept), ref_edges))
 
 
 class TestSymmetrize:
