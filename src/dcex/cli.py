@@ -338,7 +338,7 @@ def _cmd_sweep(args) -> int:
         for rep in range(args.replicates):
             tasks.append((replace(spec, seed=derive_seed(args.seed, ci, rep)),
                           config, methods, args.parts))
-    all_rows = map_jobs(_sweep_task, tasks, args.jobs)
+    all_rows = list(map_jobs(_sweep_task, tasks, args.jobs))
 
     with open(args.out, "w", encoding="utf-8", newline="") as fh:
         writer = csv.DictWriter(fh, fieldnames=SWEEP_COLUMNS)
@@ -393,7 +393,7 @@ def _cmd_scaling(args) -> int:
             tasks.append(
                 (spec, params, replace(chain, seed=derive_seed(args.seed, si, rep, 1)))
             )
-    results = map_jobs(_scaling_task, tasks, args.jobs)
+    results = list(map_jobs(_scaling_task, tasks, args.jobs))
 
     rows = []
     fit_points = []

@@ -12,7 +12,9 @@ from __future__ import annotations
 
 import json
 import math
+from collections.abc import Iterator
 from concurrent.futures import ProcessPoolExecutor
+from contextlib import closing
 from dataclasses import asdict, dataclass, replace
 from statistics import median
 
@@ -48,7 +50,11 @@ class ExtractionConfig:
 
     The empirical p-value cannot go below 1/(null_replicates + 1), so the
     rule needs at least 19 replicates before anything can clear the default
-    0.05 cutoff.
+    0.05 cutoff; with fewer, every round stops ``non_significant`` without
+    running a null.  The test is sequential: a round is rejected at the
+    first null that makes 1 + #{null >= observed} exceed
+    floor((1 - q)(R + 1)), so a rejected round's nulls are not all run,
+    while an accepted round always runs and reports all R.
     """
 
     criterion: CriterionParams = CriterionParams()
@@ -142,17 +148,23 @@ def empirical_p_value(observed: float, null_scores) -> float:
     return (1 + ge) / (1 + len(null_scores))
 
 
-def _is_significant(observed: float, null_scores, quantile: float) -> bool:
-    """Whether the empirical p-value is at most ``1 - quantile``.
+def _exceedance_limit(replicates: int, quantile: float) -> int:
+    """Largest 1 + #{null >= observed} that is still significant.
 
-    Decided on integer counts, 1 + #{null >= observed} <= floor((1-q)(R+1)),
-    because the float comparison misfires where (1-q)(R+1) is an integer:
-    at R=9, q=0.9 the float 1 - 0.9 is just below 0.1, so p = 1/10 would
-    be rejected.  The 1e-9 slack absorbs that rounding in the product.
+    That is floor((1-q)(R+1)): the empirical p-value is at most ``1 - q``
+    exactly when 1 + #{null >= observed} <= floor((1-q)(R+1)).  Integer
+    counts avoid the float comparison, which misfires where (1-q)(R+1) is
+    an integer: at R=9, q=0.9 the float 1 - 0.9 is just below 0.1, so
+    p = 1/10 would be rejected.  The 1e-9 slack absorbs that rounding in
+    the product.
     """
+    return math.floor((1.0 - quantile) * (replicates + 1) + 1e-9)
+
+
+def _is_significant(observed: float, null_scores, quantile: float) -> bool:
+    """Whether the empirical p-value is at most ``1 - quantile``."""
     exceed = sum(1 for v in null_scores if v >= observed)
-    limit = math.floor((1.0 - quantile) * (len(null_scores) + 1) + 1e-9)
-    return 1 + exceed <= limit
+    return 1 + exceed <= _exceedance_limit(len(null_scores), quantile)
 
 
 def randomize(g: DirectedGraph, model: str, seed: int) -> DirectedGraph:
@@ -254,7 +266,11 @@ def extract_all(
 
     Null-replicate chains run with restarts=1 and the same budget as the
     observed chains; for a calibrated p-value use ``restarts=1`` on the
-    observed side as well.
+    observed side as well.  Null replicates are scored in seed order and a
+    round's null phase stops as soon as its rejection is certain, so a
+    rejected round runs only the nulls up to that point; the report is the
+    same as if all of them had run, since only accepted rounds report
+    their nulls, and an accepted round runs all ``null_replicates``.
     """
     if g.n_nodes == 0:
         raise ValueError("cannot extract communities from an empty graph")
@@ -298,13 +314,11 @@ def extract_all(
         empirical_p = None
         if config.null_replicates > 0:
             null_scores = _null_best_scores(residual, config, master, round_idx,
-                                            jobs)
-            empirical_p = empirical_p_value(observed, null_scores)
-            if not _is_significant(
-                observed, null_scores, config.significance_quantile
-            ):
+                                            observed, jobs)
+            if null_scores is None:
                 reason = STOP_NON_SIGNIFICANT
                 break
+            empirical_p = empirical_p_value(observed, null_scores)
 
         members_resid = sorted(best.best_state.members)
         members_orig = [orig_ids[u] for u in members_resid]
@@ -346,7 +360,20 @@ def _one_null_score(payload) -> float:
     return run_chain(ng, config.criterion, nc).best_score.value
 
 
-def _null_best_scores(residual, config, master, round_idx, jobs) -> list[float]:
+def _null_best_scores(
+    residual, config, master, round_idx, observed, jobs
+) -> list[float] | None:
+    """All R null bests of a significant round, or None once it is rejected.
+
+    Nulls are scored in seed order and the exceedances #{null >= observed}
+    counted as they arrive; the phase stops at the first exceedance that
+    makes the round non-significant whatever the remaining nulls give
+    (Besag & Clifford 1991, sequential Monte Carlo p-values).  Only an
+    accepted round reports its nulls, so stopping there changes no report.
+    """
+    limit = _exceedance_limit(config.null_replicates, config.significance_quantile)
+    if limit < 1:
+        return None  # not even p = 1/(R+1) would be significant
     payloads = [
         (
             residual,
@@ -356,23 +383,41 @@ def _null_best_scores(residual, config, master, round_idx, jobs) -> list[float]:
         )
         for i in range(config.null_replicates)
     ]
-    return map_jobs(_one_null_score, payloads, jobs)
+    scores = []
+    exceed = 0
+    with closing(map_jobs(_one_null_score, payloads, jobs)) as results:
+        for value in results:
+            scores.append(value)
+            exceed += value >= observed
+            if 1 + exceed > limit:
+                return None
+    return scores
 
 
-def map_jobs(fn, items: list, jobs: int) -> list:
-    """``[fn(x) for x in items]``, fanned out over ``jobs`` worker processes.
+def map_jobs(fn, items: list, jobs: int) -> Iterator:
+    """``fn(x)`` for each of ``items``, fanned out over ``jobs`` worker processes.
 
-    Results come back in input order for every ``jobs``, so what is built
-    from them does not depend on it.  With ``jobs > 1``, ``fn`` and the items
-    must pickle; the pool is shut down before this returns.
+    Ordered and lazy: results are yielded in input order for every ``jobs``,
+    so what is built from them does not depend on it, and a caller that only
+    needs a prefix can stop early.  With ``jobs > 1``, ``fn`` and the items
+    must pickle; the workers start at the first ``next`` and are shut down,
+    the pending items cancelled, when the iterator is exhausted, closed or
+    raises.  Wrap it in :func:`contextlib.closing` when it may be left
+    unfinished, so the workers go at once rather than at garbage collection.
     """
     if jobs < 1:
         raise ValueError("jobs must be >= 1")
     if jobs == 1 or len(items) <= 1:
-        return [fn(x) for x in items]
-    workers = min(jobs, len(items))
-    # About four chunks per worker: few round trips, and a slow chunk still
-    # leaves the others work to share.
-    chunksize = max(1, len(items) // (4 * workers))
-    with ProcessPoolExecutor(max_workers=workers) as pool:
-        return list(pool.map(fn, items, chunksize=chunksize))
+        return (fn(x) for x in items)
+    return _pool_map(fn, items, min(jobs, len(items)))
+
+
+def _pool_map(fn, items, workers):
+    # One item per task: the pool queues at most one item beyond those its
+    # workers run, so an early stop wastes little, and every caller's item
+    # (a whole chain or benchmark replicate) dwarfs its round trip.
+    pool = ProcessPoolExecutor(max_workers=workers)
+    try:
+        yield from pool.map(fn, items)
+    finally:
+        pool.shutdown(wait=True, cancel_futures=True)

@@ -154,13 +154,6 @@ class DirectedGraph:
             raise KeyError("graph has no label table")
         return self._label_to_id[label]
 
-    def edge_multiset(self) -> dict[tuple[int, int], float]:
-        """Mapping (src, dst) -> weight; mainly for tests and comparisons."""
-        return {
-            (int(s), int(d)): float(w)
-            for s, d, w in zip(self.edge_src, self.edge_dst, self.edge_weight)
-        }
-
     def labeled_edges(self):
         """Iterate (src_label, dst_label, weight) in canonical order."""
         for s, d, w in zip(self.edge_src, self.edge_dst, self.edge_weight):

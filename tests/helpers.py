@@ -12,8 +12,17 @@ from collections import Counter
 
 import numpy as np
 
-from dcex import DirectedGraph, max_admissible_size
+from dcex import DirectedGraph, derive_seed, max_admissible_size
 from dcex.criterion import score_from_counts, value_from_counts
+from dcex.extraction import _is_significant, _one_null_score
+
+
+def edge_multiset(g: DirectedGraph) -> dict[tuple[int, int], float]:
+    """Mapping (src, dst) -> weight of ``g``'s edges."""
+    return {
+        (int(s), int(d)): float(w)
+        for s, d, w in zip(g.edge_src, g.edge_dst, g.edge_weight)
+    }
 
 
 def dense_adj(g: DirectedGraph) -> np.ndarray:
@@ -77,6 +86,23 @@ class VisitCounter:
     def ranked(self) -> list[frozenset]:
         """Visited subsets, most frequent first (ties in first-visit order)."""
         return [s for s, _ in self.counts.most_common()]
+
+
+def full_null_best_scores(residual, config, master, round_idx, observed, jobs):
+    """Reference for ``dcex.extraction._null_best_scores``: the full rule.
+
+    Scores all R null replicates on their seed paths, then applies
+    ``_is_significant``; returns the scores, or None for a rejected round.
+    """
+    scores = [
+        _one_null_score((residual, config,
+                         derive_seed(master, round_idx, 1, i),
+                         derive_seed(master, round_idx, 2, i)))
+        for i in range(config.null_replicates)
+    ]
+    if not _is_significant(observed, scores, config.significance_quantile):
+        return None
+    return scores
 
 
 def reference_counts(adj: np.ndarray, members):

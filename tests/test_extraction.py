@@ -1,4 +1,6 @@
 import math
+import multiprocessing
+from contextlib import closing
 
 import numpy as np
 import pytest
@@ -9,6 +11,7 @@ from dcex import (
     GraphValidationError,
     empirical_p_value,
     extract_all,
+    extraction,
     generate_benchmark,
     randomize,
 )
@@ -25,7 +28,7 @@ from dcex.extraction import (
 from dcex.evaluation import adjusted_jaccard
 from dcex.sampler import ChainConfig
 
-from helpers import directed_gnp
+from helpers import directed_gnp, edge_multiset, full_null_best_scores
 
 
 def fast_config(seed=0, **overrides):
@@ -109,7 +112,7 @@ class TestRandomizeSameEdgeCount:
         g = directed_gnp(20, 0.2, seed=5)
         a = randomize(g, NULL_SAME_EDGE_COUNT, 123)
         b = randomize(g, NULL_SAME_EDGE_COUNT, 123)
-        assert a.edge_multiset() == b.edge_multiset()
+        assert edge_multiset(a) == edge_multiset(b)
 
 
 class TestRandomizeDegreePreserving:
@@ -124,7 +127,7 @@ class TestRandomizeDegreePreserving:
     def test_rewires_something(self):
         g = directed_gnp(25, 0.15, seed=6)
         r = randomize(g, NULL_DEGREE_PRESERVING, 7)
-        assert r.edge_multiset() != g.edge_multiset()
+        assert edge_multiset(r) != edge_multiset(g)
         assert r.meta["accepted_swaps"] > 0
 
     def test_out_strength_preserved_on_weighted_graphs(self):
@@ -141,7 +144,7 @@ class TestRandomizeDegreePreserving:
         # No legal swap exists: (0->1, 1->2) swaps into a self-loop.
         g = DirectedGraph(3, [(0, 1, 1.0), (1, 2, 1.0)])
         r = randomize(g, NULL_DEGREE_PRESERVING, 0)
-        assert r.edge_multiset() == g.edge_multiset()
+        assert edge_multiset(r) == edge_multiset(g)
         assert r.meta["accepted_swaps"] == 0
         assert r.meta["attempts"] > 0
 
@@ -189,6 +192,13 @@ class TestExtractAll:
                           null_model=model, significance_quantile=0.8)
         serial = extract_all(g, cfg).to_dict()
         assert serial["communities"][0]["null_scores"]["count"] == 9
+        assert extract_all(g, cfg, jobs=2).to_dict() == serial
+
+    @pytest.mark.parametrize("model", [NULL_SAME_EDGE_COUNT, NULL_DEGREE_PRESERVING])
+    def test_jobs_do_not_change_a_rejected_round(self, model):
+        g, cfg = noise_case(0, model)
+        serial = extract_all(g, cfg).to_dict()
+        assert serial["stopped_reason"] == STOP_NON_SIGNIFICANT
         assert extract_all(g, cfg, jobs=2).to_dict() == serial
 
     def test_max_communities_zero_gives_empty_report(self):
@@ -303,6 +313,74 @@ class TestExtractAll:
             assert set(comm) >= {"members", "size", "w", "q_d", "empirical_p"}
 
 
+def noise_case(seed, model):
+    """A float-weighted noise graph whose rounds run 19 nulls at q = 0.8."""
+    g = directed_gnp(30, 0.15, seed=seed, float_weights=True)
+    cfg = fast_config(seed=seed, null_replicates=19, null_model=model,
+                      significance_quantile=0.8)
+    return g, cfg
+
+
+def count_null_chains(monkeypatch) -> list:
+    """Count the null replicates ``extract_all`` scores in this process."""
+    calls = []
+    score = extraction._one_null_score
+
+    def counted(payload):
+        calls.append(payload)
+        return score(payload)
+
+    monkeypatch.setattr(extraction, "_one_null_score", counted)
+    return calls
+
+
+class TestSequentialNulls:
+    @pytest.mark.parametrize("model", [NULL_SAME_EDGE_COUNT, NULL_DEGREE_PRESERVING])
+    def test_same_report_as_the_full_rule(self, model, monkeypatch):
+        accepted = 0
+        for seed in range(3):
+            g, cfg = noise_case(seed, model)
+            sequential = extract_all(g, cfg).to_dict()
+            with monkeypatch.context() as m:
+                m.setattr(extraction, "_null_best_scores", full_null_best_scores)
+                assert extract_all(g, cfg).to_dict() == sequential
+            assert sequential["stopped_reason"] == STOP_NON_SIGNIFICANT
+            for comm in sequential["communities"]:
+                assert comm["null_scores"]["count"] == 19
+                accepted += 1
+        assert accepted > 0  # the graphs exercise accepted rounds too
+
+    def test_rejected_round_stops_early(self, monkeypatch):
+        g, cfg = noise_case(0, NULL_SAME_EDGE_COUNT)
+        calls = count_null_chains(monkeypatch)
+        rep = extract_all(g, cfg)
+        assert rep.stopped_reason == STOP_NON_SIGNIFICANT
+        assert rep.communities == ()
+        assert 0 < len(calls) < cfg.null_replicates
+
+    def test_accepted_round_runs_every_null(self, monkeypatch):
+        spec = BenchmarkSpec(n1=10, n2=10, n0=30, p1=0.95, p2=0.02, seed=1)
+        g, _ = generate_benchmark(spec)
+        cfg = fast_config(seed=3, max_communities=1, null_replicates=9,
+                          significance_quantile=0.9)
+        calls = count_null_chains(monkeypatch)
+        rep = extract_all(g, cfg)
+        assert rep.stopped_reason == STOP_MAX_COMMUNITIES
+        assert len(calls) == 9
+        assert len(rep.communities[0].null_scores) == 9
+
+    def test_limit_zero_runs_no_null(self, monkeypatch):
+        # floor(0.05 * 6) = 0: not even p = 1/6 could be significant.
+        spec = BenchmarkSpec(n1=10, n2=10, n0=30, p1=0.95, p2=0.02, seed=1)
+        g, _ = generate_benchmark(spec)
+        cfg = fast_config(seed=3, null_replicates=5, significance_quantile=0.95)
+        calls = count_null_chains(monkeypatch)
+        rep = extract_all(g, cfg)
+        assert calls == []
+        assert rep.stopped_reason == STOP_NON_SIGNIFICANT
+        assert rep.communities == ()
+
+
 class TestConfigValidation:
     def test_restarts_positive(self):
         with pytest.raises(ValueError):
@@ -321,8 +399,18 @@ class TestMapJobs:
     @pytest.mark.parametrize("jobs", [1, 2, 3])
     def test_results_in_input_order(self, jobs):
         items = list(range(-7, 7))
-        assert map_jobs(abs, items, jobs) == [abs(x) for x in items]
+        assert list(map_jobs(abs, items, jobs)) == [abs(x) for x in items]
 
     def test_jobs_below_one_rejected(self):
         with pytest.raises(ValueError, match="jobs"):
             map_jobs(abs, [1, 2], 0)
+
+    def test_early_stop_leaves_no_worker(self):
+        with closing(map_jobs(abs, list(range(-50, 50)), 2)) as results:
+            assert next(results) == 50
+        assert multiprocessing.active_children() == []
+
+    def test_worker_error_leaves_no_worker(self):
+        with pytest.raises(ValueError, match="math domain"):
+            list(map_jobs(math.sqrt, [1.0, -1.0, 4.0], 2))
+        assert multiprocessing.active_children() == []
