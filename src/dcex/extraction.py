@@ -51,10 +51,10 @@ class ExtractionConfig:
     The empirical p-value cannot go below 1/(null_replicates + 1), so the
     rule needs at least 19 replicates before anything can clear the default
     0.05 cutoff; with fewer, every round stops ``non_significant`` without
-    running a null.  The test is sequential: a round is rejected at the
-    first null that makes 1 + #{null >= observed} exceed
-    floor((1 - q)(R + 1)), so a rejected round's nulls are not all run,
-    while an accepted round always runs and reports all R.
+    running a null.  The test is sequential: a round is rejected once
+    1 + #{null >= observed} exceeds floor((1 - q)(R + 1)) and at least
+    min(R, ceil(1 / (1 - q))) nulls have run, so a rejected round's nulls
+    are not all run, while an accepted round always runs and reports all R.
     """
 
     criterion: CriterionParams = CriterionParams()
@@ -159,6 +159,21 @@ def _exceedance_limit(replicates: int, quantile: float) -> int:
     the product.
     """
     return math.floor((1.0 - quantile) * (replicates + 1) + 1e-9)
+
+
+def _fewest_nulls_to_reject(replicates: int, quantile: float) -> int:
+    """Nulls a rejected round runs at least: min(R, ceil(1/(1-q))).
+
+    Before ceil(1/(1-q)) nulls, the running p-value estimate
+    #{null >= observed} / #{nulls run} cannot fall to the cutoff ``1 - q``
+    once a single null exceeds, so it does not resolve the cutoff.  Waiting
+    for that many also keeps a rejected round's cost near an accepted
+    round's when R is small: at R=9, q=0.85 a rejection runs 7 or more of
+    the 9 nulls instead of as few as 1, so the run time barely depends on
+    the outcome.  The 1e-9 slack absorbs rounding in 1 - q, as in
+    :func:`_exceedance_limit`.
+    """
+    return min(replicates, math.ceil(1.0 / (1.0 - quantile) - 1e-9))
 
 
 def _is_significant(observed: float, null_scores, quantile: float) -> bool:
@@ -267,10 +282,11 @@ def extract_all(
     Null-replicate chains run with restarts=1 and the same budget as the
     observed chains; for a calibrated p-value use ``restarts=1`` on the
     observed side as well.  Null replicates are scored in seed order and a
-    round's null phase stops as soon as its rejection is certain, so a
-    rejected round runs only the nulls up to that point; the report is the
-    same as if all of them had run, since only accepted rounds report
-    their nulls, and an accepted round runs all ``null_replicates``.
+    round's null phase stops once its rejection is certain and
+    min(R, ceil(1/(1-q))) nulls have run, so a rejected round runs only
+    the nulls up to that point; the report is the same as if all of them
+    had run, since only accepted rounds report their nulls, and an
+    accepted round runs all ``null_replicates``.
     """
     if g.n_nodes == 0:
         raise ValueError("cannot extract communities from an empty graph")
@@ -333,8 +349,9 @@ def extract_all(
                 chain_stopped=best.stopped,
             )
         )
-        residual, kept = subgraph_complement(residual, members_resid)
-        orig_ids = [orig_ids[k] for k in kept]
+        if len(communities) < config.max_communities:
+            residual, kept = subgraph_complement(residual, members_resid)
+            orig_ids = [orig_ids[k] for k in kept]
         round_idx += 1
 
     return ExtractionReport(
@@ -366,14 +383,17 @@ def _null_best_scores(
     """All R null bests of a significant round, or None once it is rejected.
 
     Nulls are scored in seed order and the exceedances #{null >= observed}
-    counted as they arrive; the phase stops at the first exceedance that
-    makes the round non-significant whatever the remaining nulls give
-    (Besag & Clifford 1991, sequential Monte Carlo p-values).  Only an
-    accepted round reports its nulls, so stopping there changes no report.
+    counted as they arrive; once they make the round non-significant
+    whatever the remaining nulls give (Besag & Clifford 1991, sequential
+    Monte Carlo p-values), the phase stops as soon as
+    :func:`_fewest_nulls_to_reject` nulls have run.  Only an accepted round
+    reports its nulls, so stopping there changes no report.
     """
-    limit = _exceedance_limit(config.null_replicates, config.significance_quantile)
+    quantile = config.significance_quantile
+    limit = _exceedance_limit(config.null_replicates, quantile)
     if limit < 1:
         return None  # not even p = 1/(R+1) would be significant
+    fewest = _fewest_nulls_to_reject(config.null_replicates, quantile)
     payloads = [
         (
             residual,
@@ -389,7 +409,7 @@ def _null_best_scores(
         for value in results:
             scores.append(value)
             exceed += value >= observed
-            if 1 + exceed > limit:
+            if 1 + exceed > limit and len(scores) >= fewest:
                 return None
     return scores
 

@@ -85,10 +85,11 @@ class DirectedGraph:
         weight = np.asarray(weight, dtype=np.float64)
         _validate_edges(n_nodes, src, dst, weight, labels)
 
-        # Stable sort by (src, dst), so each group of duplicates keeps its
-        # input order; bincount then sums every group left to right.
-        # (np.add.reduceat would sum long groups pairwise.)
-        order = np.lexsort((dst, src))
+        # Stable sort by (src, dst), through the key src * n + dst, so each
+        # group of duplicates keeps its input order; bincount then sums every
+        # group left to right.  (np.add.reduceat would sum long groups
+        # pairwise.)
+        order = np.argsort(src * n_nodes + dst, kind="stable")
         src, dst, weight = src[order], dst[order], weight[order]
         first = np.ones(len(src), dtype=bool)
         first[1:] = (src[1:] != src[:-1]) | (dst[1:] != dst[:-1])

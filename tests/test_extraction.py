@@ -201,6 +201,18 @@ class TestExtractAll:
         assert serial["stopped_reason"] == STOP_NON_SIGNIFICANT
         assert extract_all(g, cfg, jobs=2).to_dict() == serial
 
+    def test_no_residual_after_the_last_community(self, monkeypatch):
+        spec = BenchmarkSpec(n1=10, n2=10, n0=30, p1=0.95, p2=0.02, seed=1)
+        g, _ = generate_benchmark(spec)
+        calls = []
+        complement = extraction.subgraph_complement
+        monkeypatch.setattr(extraction, "subgraph_complement",
+                            lambda *a: calls.append(a) or complement(*a))
+        rep = extract_all(g, fast_config(seed=3, max_communities=2))
+        assert rep.stopped_reason == STOP_MAX_COMMUNITIES
+        assert len(rep.communities) == 2
+        assert len(calls) == 1  # the residual for round 2 only
+
     def test_max_communities_zero_gives_empty_report(self):
         g = directed_gnp(20, 0.2, seed=12)
         rep = extract_all(g, fast_config(max_communities=0))
@@ -368,6 +380,28 @@ class TestSequentialNulls:
         assert rep.stopped_reason == STOP_MAX_COMMUNITIES
         assert len(calls) == 9
         assert len(rep.communities[0].null_scores) == 9
+
+    @pytest.mark.parametrize("nulls,quantile,fewest",
+                             [(9, 0.85, 7), (19, 0.8, 5), (100, 0.95, 20)])
+    def test_rejection_waits_for_the_fewest_nulls(self, nulls, quantile,
+                                                  fewest, monkeypatch):
+        # Every null beats the observed W, so the rejection is certain after
+        # floor((1-q)(R+1)) nulls, fewer than ceil(1/(1-q)) in each case.
+        assert extraction._exceedance_limit(nulls, quantile) < fewest
+        calls = []
+        monkeypatch.setattr(extraction, "_one_null_score",
+                            lambda payload: calls.append(payload) or math.inf)
+        g = directed_gnp(30, 0.15, seed=0)
+        cfg = fast_config(null_replicates=nulls, significance_quantile=quantile)
+        rep = extract_all(g, cfg)
+        assert rep.stopped_reason == STOP_NON_SIGNIFICANT
+        assert len(calls) == fewest
+
+    @pytest.mark.parametrize("nulls,quantile,fewest",
+                             [(9, 0.85, 7), (100, 0.95, 20), (9, 0.9, 9),
+                              (19, 0.95, 19), (4, 0.8, 4)])
+    def test_fewest_nulls_to_reject(self, nulls, quantile, fewest):
+        assert extraction._fewest_nulls_to_reject(nulls, quantile) == fewest
 
     def test_limit_zero_runs_no_null(self, monkeypatch):
         # floor(0.05 * 6) = 0: not even p = 1/6 could be significant.
