@@ -37,10 +37,16 @@ class DmmConfig:
             raise ValueError("refinement_passes must be >= 0")
 
 
-def run_uce(g: DirectedGraph, config: ExtractionConfig) -> ExtractionReport:
-    """Extraction on the symmetrized graph, ignoring link direction."""
+def run_uce(
+    g: DirectedGraph, config: ExtractionConfig, chain_observer=None
+) -> ExtractionReport:
+    """Extraction on the symmetrized graph, ignoring link direction.
+
+    ``chain_observer`` is passed to :func:`extract_all`, so it sees the
+    restart chains on the symmetrized graph in undirected mode.
+    """
     cfg = replace(config, criterion=replace(config.criterion, mode=MODE_UNDIRECTED))
-    return extract_all(symmetrize(g), cfg)
+    return extract_all(symmetrize(g), cfg, chain_observer=chain_observer)
 
 
 def directed_modularity(g: DirectedGraph, assignment) -> float:

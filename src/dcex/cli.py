@@ -22,7 +22,7 @@ import numpy as np
 from . import __version__
 from .baselines import DmmConfig, run_dmm, run_uce
 from .benchmark import BenchmarkSpec, generate
-from .criterion import MODE_DIRECTED, MODE_UNDIRECTED, CriterionParams
+from .criterion import MODE_DIRECTED, CriterionParams
 from .evaluation import best_pair_adjusted_jaccard, save_membership
 from .extraction import (
     NULL_DEGREE_PRESERVING,
@@ -31,7 +31,7 @@ from .extraction import (
     extract_all,
     map_jobs,
 )
-from .graph import load_edge_list, save_edge_list, symmetrize
+from .graph import load_edge_list, save_edge_list
 from .sampler import ChainConfig, run_chain, write_trace_csv
 from .seeding import derive_seed
 
@@ -102,8 +102,9 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--parts", type=int, default=3, help="dmm: number of parts")
     p.add_argument("--refinement-passes", type=int, default=10)
     p.add_argument("--trace", default=None,
-                   help="dump a step,W,accepted,|S| CSV of the first restart "
-                        "chain (dce and uce only)")
+                   help="write a step,W,accepted,size CSV of round 0's first "
+                        "restart chain as the run ran it; header only when no "
+                        "restart ran (dce and uce only)")
     p.add_argument("--out", required=True)
     p.set_defaults(func=_cmd_extract)
 
@@ -191,33 +192,27 @@ def _cmd_extract(args) -> int:
         assignments = {g.label_of(u): cid for u, cid in labels.assignments.items()}
         save_membership(assignments, args.out)
     else:
-        params = CriterionParams(rho=args.rho, n=args.n, mode=MODE_DIRECTED)
-        chain = ChainConfig(
-            c=args.c, max_steps=args.max_steps, patience=args.patience, seed=args.seed
-        )
         config = ExtractionConfig(
-            criterion=params,
-            chain=chain,
+            criterion=CriterionParams(rho=args.rho, n=args.n, mode=MODE_DIRECTED),
+            chain=ChainConfig(c=args.c, max_steps=args.max_steps,
+                              patience=args.patience, seed=args.seed),
             restarts=args.restarts,
             max_communities=args.max_communities,
             null_replicates=args.null_replicates,
             null_model=args.null_model,
             significance_quantile=args.significance_quantile,
         )
-        report = extract_all(g, config) if args.method == "dce" else run_uce(g, config)
+        events = []
+
+        def first_restart(round_idx, restart):
+            if round_idx == restart == 0:
+                return lambda event, state: events.append(event)
+            return None
+
+        run = extract_all if args.method == "dce" else run_uce
+        report = run(g, config, chain_observer=first_restart if args.trace else None)
         report.save_json(args.out)
         if args.trace:
-            # The first restart of round 0, on the graph and criterion that
-            # method searched.
-            if args.method == "uce":
-                g, params = symmetrize(g), replace(params, mode=MODE_UNDIRECTED)
-            events = []
-            run_chain(
-                g,
-                params,
-                replace(chain, seed=derive_seed(args.seed, 0, 0, 0)),
-                observer=lambda event, state: events.append(event),
-            )
             write_trace_csv(events, args.trace)
     timings["run_s"] = time.perf_counter() - t1
 

@@ -59,7 +59,7 @@ class CriterionParams:
     def __post_init__(self):
         if not (0.0 < self.rho <= 1.0):
             raise ValueError(f"rho must be in (0, 1], got {self.rho}")
-        if self.n < 0:
+        if not self.n >= 0:  # also rejects NaN
             raise ValueError(f"penalty exponent n must be >= 0, got {self.n}")
         if self.mode not in (MODE_DIRECTED, MODE_UNDIRECTED):
             raise ValueError(f"unknown mode {self.mode!r}")

@@ -176,12 +176,6 @@ def _fewest_nulls_to_reject(replicates: int, quantile: float) -> int:
     return min(replicates, math.ceil(1.0 / (1.0 - quantile) - 1e-9))
 
 
-def _is_significant(observed: float, null_scores, quantile: float) -> bool:
-    """Whether the empirical p-value is at most ``1 - quantile``."""
-    exceed = sum(1 for v in null_scores if v >= observed)
-    return 1 + exceed <= _exceedance_limit(len(null_scores), quantile)
-
-
 def randomize(g: DirectedGraph, model: str, seed: int) -> DirectedGraph:
     """Randomized surrogate of ``g`` under the given null model.
 
@@ -269,7 +263,7 @@ def _randomize_degree_preserving(g, rng) -> DirectedGraph:
 
 
 def extract_all(
-    g: DirectedGraph, config: ExtractionConfig, jobs: int = 1
+    g: DirectedGraph, config: ExtractionConfig, jobs: int = 1, chain_observer=None
 ) -> ExtractionReport:
     """Extract communities from ``g`` until the stop rule fires.
 
@@ -278,6 +272,9 @@ def extract_all(
     over worker processes).  The effective-size term of the criterion is
     evaluated against the node count of the *current residual* graph, which
     is the network actually being searched in each round.
+
+    ``chain_observer(round_idx, restart)`` gives each restart chain, in order and
+    in this process, its ``run_chain`` observer or None; nulls go unobserved.
 
     Null-replicate chains run with restarts=1 and the same budget as the
     observed chains; for a calibrated p-value use ``restarts=1`` on the
@@ -312,7 +309,8 @@ def extract_all(
             cc = replace(
                 config.chain, seed=derive_seed(master, round_idx, _TAG_RESTART, k)
             )
-            result = run_chain(residual, config.criterion, cc)
+            observer = chain_observer(round_idx, k) if chain_observer else None
+            result = run_chain(residual, config.criterion, cc, observer)
             members = tuple(sorted(result.best_state.members))
             if (
                 best is None

@@ -55,10 +55,12 @@ class ChainConfig:
     hastings_corrected: bool = False
 
     def __post_init__(self):
-        if self.c <= 0:
+        if not self.c > 0:  # also rejects NaN
             raise ChainConfigError(f"c must be positive, got {self.c}")
         if self.max_steps is not None and self.max_steps < 1:
             raise ChainConfigError("max_steps must be >= 1")
+        if self.patience is not None and self.patience < 1:
+            raise ChainConfigError("patience must be >= 1")
         if (
             self.max_steps is not None
             and self.patience is not None

@@ -14,7 +14,7 @@ import numpy as np
 
 from dcex import DirectedGraph, derive_seed, max_admissible_size
 from dcex.criterion import score_from_counts, value_from_counts
-from dcex.extraction import _is_significant, _one_null_score
+from dcex.extraction import _exceedance_limit, _one_null_score
 
 
 def edge_multiset(g: DirectedGraph) -> dict[tuple[int, int], float]:
@@ -88,11 +88,17 @@ class VisitCounter:
         return [s for s, _ in self.counts.most_common()]
 
 
+def is_significant(observed: float, null_scores, quantile: float) -> bool:
+    """Whether the empirical p-value is at most ``1 - quantile``."""
+    exceed = sum(1 for v in null_scores if v >= observed)
+    return 1 + exceed <= _exceedance_limit(len(null_scores), quantile)
+
+
 def full_null_best_scores(residual, config, master, round_idx, observed, jobs):
     """Reference for ``dcex.extraction._null_best_scores``: the full rule.
 
     Scores all R null replicates on their seed paths, then applies
-    ``_is_significant``; returns the scores, or None for a rejected round.
+    :func:`is_significant`; returns the scores, or None for a rejected round.
     """
     scores = [
         _one_null_score((residual, config,
@@ -100,7 +106,7 @@ def full_null_best_scores(residual, config, master, round_idx, observed, jobs):
                          derive_seed(master, round_idx, 2, i)))
         for i in range(config.null_replicates)
     ]
-    if not _is_significant(observed, scores, config.significance_quantile):
+    if not is_significant(observed, scores, config.significance_quantile):
         return None
     return scores
 

@@ -122,6 +122,57 @@ class TestExtractCommand:
         reported = json.loads(out.read_text())["communities"][0]["w"]
         assert first.best_score.value <= reported
 
+    def test_dce_trace_follows_round_0_first_restart(self, tmp_path):
+        args = {"--null-replicates": 0, "--max-communities": 1, "--seed": 4}
+        out, trace = tmp_path / "dce.json", tmp_path / "trace.csv"
+        assert run_cli(*self.extract_args(out, **args, **{"--trace": trace})) == 0
+        params = CriterionParams(rho=0.8, n=5)
+        chain = ChainConfig(c=0.05, max_steps=8000, patience=4000,
+                            seed=derive_seed(4, 0, 0, 0))
+        events = []
+        first = run_chain(load_edge_list(FIGURE1_EDGELIST), params, chain,
+                          observer=lambda e, state: events.append(e))
+        expected = tmp_path / "expected.csv"
+        write_trace_csv(events, expected)
+        assert trace.read_bytes() == expected.read_bytes()
+        reported = json.loads(out.read_text())["communities"][0]["w"]
+        assert first.best_score.value <= reported
+
+    def test_trace_runs_no_chain_of_its_own(self, tmp_path, monkeypatch):
+        def refuse(*args, **kwargs):
+            raise AssertionError("the CLI ran a chain itself")
+
+        monkeypatch.setattr("dcex.cli.run_chain", refuse)
+        out, trace = tmp_path / "r.json", tmp_path / "trace.csv"
+        code = run_cli(*self.extract_args(out, **{"--null-replicates": 0,
+                                                  "--trace": trace}))
+        assert code == 0
+        assert len(trace.read_text().splitlines()) > 1
+
+    def test_trace_of_a_graph_too_small_to_search_is_header_only(self, tmp_path):
+        graph = tmp_path / "pair.edgelist"
+        graph.write_text("a b\n")
+        out, trace = tmp_path / "r.json", tmp_path / "trace.csv"
+        code = run_cli("extract", "--graph", graph, "--trace", trace, "--out", out)
+        assert code == 0
+        assert json.loads(out.read_text())["stopped_reason"] == "graph_exhausted"
+        assert read_manifest(out)["command"] == "extract"
+        assert trace.read_text() == "step,W,accepted,size\n"
+
+    def test_trace_without_a_round_is_header_only(self, tmp_path):
+        out, trace = tmp_path / "r.json", tmp_path / "trace.csv"
+        code = run_cli(*self.extract_args(out, **{"--max-communities": 0,
+                                                  "--trace": trace}))
+        assert code == 0
+        assert json.loads(out.read_text())["communities"] == []
+        assert trace.read_text() == "step,W,accepted,size\n"
+
+    def test_zero_patience_exits_2(self, tmp_path, capsys):
+        out = tmp_path / "r.json"
+        assert run_cli(*self.extract_args(out, **{"--patience": 0})) == 2
+        assert "patience" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_dmm_trace_exits_2(self, tmp_path, capsys):
         code = run_cli("extract", "--graph", FIGURE1_EDGELIST, "--method", "dmm",
                        "--trace", tmp_path / "t.csv", "--out", tmp_path / "p.txt")

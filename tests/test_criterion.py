@@ -180,6 +180,11 @@ class TestAdmissibility:
         with pytest.raises(ValueError):
             CriterionParams(mode="sideways")
 
+    def test_nan_exponent_rejected(self):
+        with pytest.raises(ValueError, match="penalty exponent"):
+            CriterionParams(n=float("nan"))
+        assert CriterionParams(n=float("inf")).n == float("inf")
+
 
 def random_move_sequence(g, params, n_moves, seed):
     """Yield (state_before, node, direction) for a random admissible walk."""

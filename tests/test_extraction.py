@@ -201,6 +201,26 @@ class TestExtractAll:
         assert serial["stopped_reason"] == STOP_NON_SIGNIFICANT
         assert extract_all(g, cfg, jobs=2).to_dict() == serial
 
+    def test_chain_observer_sees_the_restart_chains_in_order(self):
+        spec = BenchmarkSpec(n1=8, n2=8, n0=20, p1=0.9, p2=0.05, seed=7)
+        g, _ = generate_benchmark(spec)
+        cfg = fast_config(seed=3, restarts=3, max_communities=2, null_replicates=9,
+                          significance_quantile=0.8)
+        chains = []
+
+        def chain_observer(round_idx, restart):
+            steps = []
+            chains.append(((round_idx, restart), steps))
+            return lambda event, state: steps.append(event.step)
+
+        observed = extract_all(g, cfg, chain_observer=chain_observer).to_dict()
+        assert observed == extract_all(g, cfg).to_dict()
+        assert [key for key, _ in chains] == [(r, k) for r in range(2) for k in range(3)]
+        for _, steps in chains:  # each observer saw one whole chain
+            assert steps == list(range(1, len(steps) + 1))
+        first_round = [len(steps) for (r, _), steps in chains if r == 0]
+        assert observed["communities"][0]["chain"]["steps"] in first_round
+
     def test_no_residual_after_the_last_community(self, monkeypatch):
         spec = BenchmarkSpec(n1=10, n2=10, n0=30, p1=0.95, p2=0.02, seed=1)
         g, _ = generate_benchmark(spec)

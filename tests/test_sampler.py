@@ -326,6 +326,18 @@ class TestConfigValidation:
         with pytest.raises(ChainConfigError):
             ChainConfig(max_steps=100, patience=200)
 
+    def test_c_must_not_be_nan(self):
+        with pytest.raises(ChainConfigError, match="c must be positive"):
+            ChainConfig(c=float("nan"))
+
+    def test_infinite_c_allowed(self):
+        assert ChainConfig(c=float("inf")).c == float("inf")
+
+    @pytest.mark.parametrize("patience", [0, -3])
+    def test_patience_must_be_positive(self, patience):
+        with pytest.raises(ChainConfigError, match="patience"):
+            ChainConfig(patience=patience)
+
     def test_inadmissible_init_rejected(self):
         g = directed_gnp(10, 0.4, seed=1)
         with pytest.raises(ChainConfigError, match="inadmissible"):
