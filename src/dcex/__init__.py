@@ -7,7 +7,7 @@ modularity-partitioning baselines, evaluation metrics, and a null-model
 significance stop rule.
 """
 
-from .baselines import DmmConfig, directed_modularity, run_dmm, run_uce
+from .baselines import DmmConfig, run_dmm, run_uce
 from .benchmark import BenchmarkSpec, GroundTruth, figure1_spec
 from .benchmark import generate as generate_benchmark
 from .criterion import (
@@ -80,7 +80,6 @@ __all__ = [
     "adjusted_jaccard",
     "best_pair_adjusted_jaccard",
     "derive_seed",
-    "directed_modularity",
     "empirical_p_value",
     "extract_all",
     "figure1_spec",

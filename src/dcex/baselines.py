@@ -49,31 +49,6 @@ def run_uce(
     return extract_all(symmetrize(g), cfg, chain_observer=chain_observer)
 
 
-def directed_modularity(g: DirectedGraph, assignment) -> float:
-    """Q = (1/m) * sum over same-community (i, j) of [A_ij - k_in_i k_out_j / m].
-
-    ``assignment`` maps every node id to a community id (sequence or dict).
-    On a symmetric graph this equals the classic undirected modularity.
-    """
-    m = g.total_weight
-    if m == 0:
-        return 0.0
-    if isinstance(assignment, dict):
-        assignment = [assignment[u] for u in range(g.n_nodes)]
-    internal = 0.0
-    for s, d, w in zip(g.edge_src, g.edge_dst, g.edge_weight):
-        if assignment[int(s)] == assignment[int(d)]:
-            internal += float(w)
-    k_in: dict = {}
-    k_out: dict = {}
-    for u in range(g.n_nodes):
-        cid = assignment[u]
-        k_in[cid] = k_in.get(cid, 0.0) + g.in_strength[u]
-        k_out[cid] = k_out.get(cid, 0.0) + g.out_strength[u]
-    expected = sum(k_in[cid] * k_out[cid] for cid in k_in) / m
-    return (internal - expected) / m
-
-
 def run_dmm(g: DirectedGraph, config: DmmConfig = DmmConfig()) -> PartitionLabels:
     """Partition ``g`` into at most ``target_parts`` communities.
 

@@ -57,6 +57,8 @@ SCALING_COLUMNS = [
     "min_runtime_ms",
     "max_runtime_ms",
     "mean_steps",
+    "proposals_per_s",
+    "mean_best_size",
 ]
 
 
@@ -349,8 +351,9 @@ def _cmd_sweep(args) -> int:
 # -- scaling ---------------------------------------------------------------
 
 
-def _scaling_task(task) -> tuple[float, int]:
-    """Time one chain search ``(spec, params, chain)``: (runtime in ms, steps).
+def _scaling_task(task) -> tuple[float, int, int]:
+    """Time one chain search ``(spec, params, chain)``: (runtime in ms,
+    steps, size of the best set).
 
     The run times the community search itself (no significance chains).
     """
@@ -358,7 +361,7 @@ def _scaling_task(task) -> tuple[float, int]:
     graph, _ = generate(spec)
     t0 = time.perf_counter()
     result = run_chain(graph, params, chain)
-    return (time.perf_counter() - t0) * 1e3, result.steps_run
+    return (time.perf_counter() - t0) * 1e3, result.steps_run, result.best_state.size
 
 
 def _cmd_scaling(args) -> int:
@@ -393,7 +396,9 @@ def _cmd_scaling(args) -> int:
     rows = []
     fit_points = []
     for si, size in enumerate(sizes):
-        runtimes, steps = zip(*results[si * args.replicates:(si + 1) * args.replicates])
+        runtimes, steps, best_sizes = zip(
+            *results[si * args.replicates:(si + 1) * args.replicates]
+        )
         mean_rt = sum(runtimes) / len(runtimes)
         rows.append(
             {
@@ -403,6 +408,8 @@ def _cmd_scaling(args) -> int:
                 "min_runtime_ms": f"{min(runtimes):.3f}",
                 "max_runtime_ms": f"{max(runtimes):.3f}",
                 "mean_steps": f"{sum(steps) / len(steps):.1f}",
+                "proposals_per_s": f"{sum(steps) / (sum(runtimes) / 1e3):.0f}",
+                "mean_best_size": f"{sum(best_sizes) / len(best_sizes):.1f}",
             }
         )
         fit_points.append((size, mean_rt))

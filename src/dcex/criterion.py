@@ -20,8 +20,10 @@ The criterion is finite for any 1 <= |S| <= rho*N (at the very top,
 e(S) = 0 and only the penalty term survives), and :func:`score` evaluates
 that whole range.  The sampler explores the narrower *admissible* region
 1 <= |S| and 2|S|/N < rho, which keeps e(S) > |S| > 0; moves that would
-leave it are rejected outright.  This module also provides exact O(degree)
-deltas for single-node moves, the hot path of the sampler.
+leave it are rejected outright.  This module also gives the counts after a
+single-node move in O(1) from the weights between that node and S, which the
+sampler keeps per node, and :func:`move_delta`, which sums those weights from
+scratch as the reference for the sampler's deltas.
 """
 
 from __future__ import annotations
@@ -164,7 +166,7 @@ class CommunityState:
         return (self.o_s, self.b_in, self.b_out, self.size)
 
     def apply_move(self, u: int, direction: str, new_counts) -> None:
-        """Commit a move previously evaluated by :func:`move_delta`."""
+        """Commit a move whose post-move counts are ``new_counts``."""
         if direction == "add":
             self.members.add(u)
             self.in_set[u] = 1
@@ -203,17 +205,48 @@ def score(g, state, params: CriterionParams) -> Score:
     )
 
 
+def counts_after_move(g, state, u, direction, w_u_to_s, w_s_to_u):
+    """Counts ``(o_s, b_in, b_out, size)`` after adding or removing ``u``, in
+    O(1) and unchecked, from the weights from u into S and from S into u
+    (the same whether or not u is a member, as there are no self-loops).
+    """
+    out_rest = g.out_strength[u] - w_u_to_s  # u's out-weight outside S
+    in_rest = g.in_strength[u] - w_s_to_u
+    if direction == "add":
+        return (state.o_s + w_u_to_s + w_s_to_u,
+                state.b_in - w_u_to_s + in_rest,
+                state.b_out - w_s_to_u + out_rest,
+                state.size + 1)
+    return (state.o_s - w_u_to_s - w_s_to_u,
+            state.b_in - in_rest + w_u_to_s,
+            state.b_out - out_rest + w_s_to_u,
+            state.size - 1)
+
+
 def move_delta(g, state: CommunityState, u: int, direction: str, params):
     """Exact criterion change for adding/removing node ``u``.
 
-    Returns ``(delta_w, (o_s, b_in, b_out, size))`` for the post-move state,
-    computed in O(degree(u)).  Raises :class:`MoveRejected` when the move
-    would leave the admissible domain, and ``ValueError`` on precondition
-    violations (adding a member / removing a non-member).
+    Returns ``(delta_w, (o_s, b_in, b_out, size))`` for the post-move state.
+    It sums u's weights to and from S over u's edges, in O(degree(u)), so
+    it is the reference for the sampler's O(1) deltas, and the benchmark's
+    per-call probe.  Raises :class:`MoveRejected` when the move would leave
+    the admissible domain, and ``ValueError`` on precondition violations
+    (adding a member / removing a non-member).
     """
     in_set = state.in_set
-    # Weight from u into S and from S into u; with no self-loops these sums
-    # are identical whether or not u itself currently belongs to S.
+    if direction == "add":
+        if in_set[u]:
+            raise ValueError(f"cannot add node {u}: already a member")
+        if not is_admissible_size(state.size + 1, g.n_nodes, params.rho):
+            raise MoveRejected(f"|S|={state.size + 1} would be inadmissible")
+    elif direction == "remove":
+        if not in_set[u]:
+            raise ValueError(f"cannot remove node {u}: not a member")
+        if state.size - 1 < 1:
+            raise MoveRejected("cannot remove the last member")
+    else:
+        raise ValueError(f"direction must be 'add' or 'remove', got {direction!r}")
+
     w_u_to_s = 0.0
     for v, w in zip(g.out_nbrs[u], g.out_wts[u]):
         if in_set[v]:
@@ -222,30 +255,6 @@ def move_delta(g, state: CommunityState, u: int, direction: str, params):
     for v, w in zip(g.in_nbrs[u], g.in_wts[u]):
         if in_set[v]:
             w_s_to_u += w
-
-    if direction == "add":
-        if in_set[u]:
-            raise ValueError(f"cannot add node {u}: already a member")
-        new_size = state.size + 1
-        if not is_admissible_size(new_size, g.n_nodes, params.rho):
-            raise MoveRejected(f"adding {u} would make |S|={new_size} inadmissible")
-        o_s = state.o_s + w_u_to_s + w_s_to_u
-        b_out = state.b_out - w_s_to_u + (g.out_strength[u] - w_u_to_s)
-        b_in = state.b_in - w_u_to_s + (g.in_strength[u] - w_s_to_u)
-    elif direction == "remove":
-        if not in_set[u]:
-            raise ValueError(f"cannot remove node {u}: not a member")
-        new_size = state.size - 1
-        if new_size < 1:
-            raise MoveRejected("cannot remove the last member")
-        o_s = state.o_s - w_u_to_s - w_s_to_u
-        b_out = state.b_out - (g.out_strength[u] - w_u_to_s) + w_s_to_u
-        b_in = state.b_in - (g.in_strength[u] - w_s_to_u) + w_u_to_s
-    else:
-        raise ValueError(f"direction must be 'add' or 'remove', got {direction!r}")
-
-    w_before = value_from_counts(
-        state.o_s, state.b_in, state.b_out, state.size, g.n_nodes, params
-    )
-    w_after = value_from_counts(o_s, b_in, b_out, new_size, g.n_nodes, params)
-    return w_after - w_before, (o_s, b_in, b_out, new_size)
+    counts = counts_after_move(g, state, u, direction, w_u_to_s, w_s_to_u)
+    w_before = value_from_counts(*state.counts(), g.n_nodes, params)
+    return value_from_counts(*counts, g.n_nodes, params) - w_before, counts

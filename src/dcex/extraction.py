@@ -208,9 +208,7 @@ def _randomize_same_edge_count(g, rng) -> DirectedGraph:
     dst = rem + (rem >= src)
     weights_discarded = bool(np.any(g.edge_weight != 1.0))
     meta = {"null_model": NULL_SAME_EDGE_COUNT, "weights_discarded": weights_discarded}
-    return DirectedGraph.from_arrays(
-        n, src, dst, np.ones(m), labels=g.labels, meta=meta
-    )
+    return g._with_edges(src, dst, np.ones(m), meta)
 
 
 def _randomize_degree_preserving(g, rng) -> DirectedGraph:
@@ -257,9 +255,7 @@ def _randomize_degree_preserving(g, rng) -> DirectedGraph:
         "accepted_swaps": accepted,
         "attempts": attempts,
     }
-    return DirectedGraph.from_arrays(
-        g.n_nodes, g.edge_src, dst, g.edge_weight, labels=g.labels, meta=meta
-    )
+    return g._with_edges(g.edge_src, dst, g.edge_weight, meta)
 
 
 def extract_all(

@@ -68,17 +68,29 @@ class DirectedGraph:
         g._build(n_nodes, src, dst, weight, labels, meta)
         return g
 
-    def _build(self, n_nodes, src, dst, weight, labels, meta):
+    def _with_edges(self, src, dst, weight, meta):
+        """Graph on this graph's nodes and labels with other edges.
+
+        The labels and their index were checked when this graph was built,
+        so they are shared, not validated and indexed again.
+        """
+        g = DirectedGraph.__new__(DirectedGraph)
+        g._build(self.n_nodes, src, dst, weight, self.labels, meta,
+                 self._label_to_id)
+        return g
+
+    def _build(self, n_nodes, src, dst, weight, labels, meta, label_to_id=None):
         n_nodes = int(n_nodes)
         if n_nodes < 0:
             raise GraphValidationError("n_nodes must be nonnegative")
-        if labels is not None:
+        if labels is not None and label_to_id is None:
             labels = tuple(labels)
             if len(labels) != n_nodes:
                 raise GraphValidationError(
                     f"got {len(labels)} labels for {n_nodes} nodes"
                 )
-            if len(set(labels)) != n_nodes:
+            label_to_id = {lab: i for i, lab in enumerate(labels)}
+            if len(label_to_id) != n_nodes:
                 raise GraphValidationError("node labels must be unique")
         src = np.asarray(src, dtype=np.int64)
         dst = np.asarray(dst, dtype=np.int64)
@@ -125,9 +137,7 @@ class DirectedGraph:
         self.in_strength = _sums(self.edge_dst, self.edge_weight, n).tolist()
         self.labels = labels
         self.meta = dict(meta) if meta else {}
-        self._label_to_id = (
-            {lab: i for i, lab in enumerate(labels)} if labels is not None else None
-        )
+        self._label_to_id = label_to_id
         self._check_consistency()
 
     def _check_consistency(self):

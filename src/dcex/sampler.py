@@ -23,9 +23,8 @@ import numpy as np
 from .criterion import (
     CommunityState,
     Score,
-    is_admissible_size,
+    counts_after_move,
     max_admissible_size,
-    move_delta,
     score,
     value_from_counts,
 )
@@ -117,9 +116,6 @@ class _IndexedSet:
         self.items.pop()
         self.pos[v] = -1
 
-    def __len__(self):
-        return len(self.items)
-
 
 def resolve_budget(config: ChainConfig, n_nodes: int) -> tuple[int, int]:
     max_steps = config.max_steps if config.max_steps is not None else 200 * n_nodes
@@ -153,7 +149,8 @@ def run_chain(
     n = g.n_nodes
     if n < 2:
         raise ChainConfigError("need at least 2 nodes to run a chain")
-    if max_admissible_size(n, params.rho) < 1:
+    top = max_admissible_size(n, params.rho)
+    if top < 1:
         raise ChainConfigError(
             f"no admissible subset exists for N={n}, rho={params.rho}"
         )
@@ -163,7 +160,7 @@ def run_chain(
         init = tuple(int(u) for u in config.init_members)
         if len(set(init)) != len(init):
             raise ChainConfigError("init_members contains duplicates")
-        if not is_admissible_size(len(init), n, params.rho):
+        if not 1 <= len(init) <= top:
             raise ChainConfigError(
                 f"initial set of size {len(init)} is inadmissible for "
                 f"N={n}, rho={params.rho}"
@@ -172,9 +169,7 @@ def run_chain(
         init = (int(rng.integers(0, n)),)
 
     state = CommunityState.from_members(g, init)
-    w_cur = value_from_counts(
-        state.o_s, state.b_in, state.b_out, state.size, n, params
-    )
+    w_cur = value_from_counts(*state.counts(), n, params)
 
     def make_result(stopped, steps, accepted, best_members):
         best_state = CommunityState.from_members(g, best_members)
@@ -194,11 +189,14 @@ def run_chain(
 
     max_steps, patience = resolve_budget(config, n)
 
-    # Proposal pool: S plus every node adjacent to S (either direction).
-    # cov[v] counts members adjacent to v, so pool membership is
-    # in_set[v] or cov[v] > 0 and can be maintained in O(degree) per move.
+    # Proposal pool: S plus every node adjacent to S (either direction);
+    # cov[v] counts members adjacent to v.  to_s[v] and from_s[v] are the
+    # weights from v into S and from S into v, so a proposal costs O(1) and
+    # only an accepted move walks its node's neighbours, in O(degree).
     pool = _IndexedSet(n)
     cov = [0] * n
+    to_s = [0.0] * n
+    from_s = [0.0] * n
     adj = g.adj_nbrs
     in_set = state.in_set
     for u in state.members:
@@ -206,19 +204,9 @@ def run_chain(
         for v in adj[u]:
             cov[v] += 1
             pool.add(v)
+        _shift_weights(g, u, 1.0, to_s, from_s)
 
-    uniforms: list[float] = []
-    u_idx = 0
-
-    def next_uniform():
-        nonlocal uniforms, u_idx
-        if u_idx >= len(uniforms):
-            uniforms = rng.random(_RNG_BLOCK).tolist()
-            u_idx = 0
-        val = uniforms[u_idx]
-        u_idx += 1
-        return val
-
+    next_uniform = _uniforms(rng).__next__
     c = config.c
     hastings = config.hastings_corrected
     best_w = w_cur
@@ -241,41 +229,32 @@ def run_chain(
         u = pool.items[k]
         direction = "remove" if in_set[u] else "add"
 
-        auto_reject = False
         if direction == "remove":
-            if state.size - 1 < 1:
-                auto_reject = True
-            elif hastings and cov[u] == 0:
-                # u has no edge to the rest of S: after removal the reverse
-                # (re-adding u) could never be proposed, so detailed balance
-                # demands rejecting the forward move outright.
-                auto_reject = True
+            # With the correction, a u with no edge to the rest of S stays,
+            # as re-adding it could then never be proposed (detailed balance).
+            auto_reject = state.size == 1 or (hastings and cov[u] == 0)
         else:
-            if not is_admissible_size(state.size + 1, n, params.rho):
-                auto_reject = True
+            auto_reject = state.size >= top
 
         if auto_reject:
-            delta = None
-            log_ratio = None
-            unif = None
+            delta = log_ratio = unif = None
             accept = False
         else:
-            delta, new_counts = move_delta(g, state, u, direction, params)
+            new_counts = counts_after_move(g, state, u, direction, to_s[u], from_s[u])
+            w_new = value_from_counts(*new_counts, n, params)
+            delta = w_new - w_cur
             log_ratio = c * delta
             if hastings:
                 log_ratio += math.log(
                     pool_len / _pool_size_after(u, direction, pool_len, cov, in_set, adj)
                 )
-            if log_ratio >= 0:
-                unif = None
-                accept = True
-            else:
-                unif = next_uniform()
-                accept = unif < math.exp(log_ratio)
+            unif = None if log_ratio >= 0 else next_uniform()
+            accept = unif is None or unif < math.exp(log_ratio)
 
         if accept:
             accepted += 1
             state.apply_move(u, direction, new_counts)
+            w_cur = w_new
             if direction == "add":
                 for v in adj[u]:
                     if cov[v] == 0 and not in_set[v]:
@@ -288,9 +267,7 @@ def run_chain(
                         pool.discard(v)
                 if cov[u] == 0:
                     pool.discard(u)
-            w_cur = value_from_counts(
-                state.o_s, state.b_in, state.b_out, state.size, n, params
-            )
+            _shift_weights(g, u, 1.0 if direction == "add" else -1.0, to_s, from_s)
             if w_cur > best_w:
                 best_w = w_cur
                 best_members = frozenset(state.members)
@@ -311,6 +288,20 @@ def run_chain(
             break
 
     return make_result(stopped, steps, accepted, best_members)
+
+
+def _uniforms(rng):
+    """Endless stream of uniform draws on [0, 1), taken from ``rng`` in blocks."""
+    while True:
+        yield from rng.random(_RNG_BLOCK).tolist()
+
+
+def _shift_weights(g, u, sign, to_s, from_s):
+    """Move u's edges into (sign 1.0) or out of (-1.0) ``to_s`` and ``from_s``."""
+    for v, w in zip(g.in_nbrs[u], g.in_wts[u]):
+        to_s[v] += sign * w
+    for v, w in zip(g.out_nbrs[u], g.out_wts[u]):
+        from_s[v] += sign * w
 
 
 def _pool_size_after(u, direction, pool_len, cov, in_set, adj):

@@ -10,12 +10,12 @@ from dcex import (
     run_chain,
     symmetrize,
 )
-from dcex.baselines import DmmConfig, directed_modularity, run_dmm, run_uce
+from dcex.baselines import DmmConfig, run_dmm, run_uce
 from dcex.criterion import MODE_UNDIRECTED, CommunityState, CriterionParams, score
 from dcex.extraction import ExtractionConfig, extract_all
 from dcex.sampler import ChainConfig
 
-from helpers import directed_gnp, two_cliques_graph
+from helpers import directed_gnp, directed_modularity, two_cliques_graph
 
 
 class TestUce:

@@ -2,6 +2,8 @@ import csv
 import json
 from pathlib import Path
 
+import pytest
+
 from dcex import derive_seed, load_edge_list, run_chain, symmetrize
 from dcex.cli import main
 from dcex.criterion import MODE_UNDIRECTED, CriterionParams
@@ -311,6 +313,24 @@ class TestScalingCommand:
         assert rows[0]["replicates"] == "2"
         assert float(rows[0]["mean_runtime_ms"]) > 0
 
+    def test_chain_speed_and_best_size_columns(self, tmp_path):
+        out = tmp_path / "scale.csv"
+        assert run_cli("scaling", "--sizes", "300", "--replicates", 2, "--seed", 5,
+                       "--c", 0.01, "--max-steps", 2000, "--patience", 2000,
+                       "--out", out) == 0
+        with open(out) as fh:
+            assert fh.readline().strip() == (
+                "size,replicates,mean_runtime_ms,min_runtime_ms,max_runtime_ms,"
+                "mean_steps,proposals_per_s,mean_best_size"
+            )
+        with open(out) as fh:
+            (row,) = list(csv.DictReader(fh))
+        assert row["mean_steps"] == "2000.0"  # patience == max_steps
+        mean_s = float(row["mean_runtime_ms"]) / 1e3
+        assert float(row["proposals_per_s"]) == pytest.approx(2000 / mean_s, rel=1e-3)
+        best_size = float(row["mean_best_size"])
+        assert 1 <= best_size < 300 and (2 * best_size).is_integer()
+
     def test_two_sizes_fit_exponent_in_manifest(self, tmp_path):
         out = tmp_path / "scale2.csv"
         code = run_cli("scaling", "--sizes", "300,600", "--replicates", 1,
@@ -328,7 +348,8 @@ class TestScalingCommand:
     def test_jobs_flag_gives_same_rows(self, tmp_path):
         def strip_runtime(path):
             with open(path) as fh:
-                return [{k: v for k, v in row.items() if "runtime" not in k}
+                return [{k: v for k, v in row.items()
+                         if "runtime" not in k and k != "proposals_per_s"}
                         for row in csv.DictReader(fh)]
 
         seq, par = tmp_path / "seq.csv", tmp_path / "par.csv"

@@ -115,6 +115,20 @@ class TestRandomizeSameEdgeCount:
         assert edge_multiset(a) == edge_multiset(b)
 
 
+@pytest.mark.parametrize("model", [NULL_SAME_EDGE_COUNT, NULL_DEGREE_PRESERVING])
+def test_randomize_keeps_the_labels(model):
+    labels = ("d", "a", "c", "b", "e")
+    g = DirectedGraph(5, [(0, 1, 2.0), (1, 2, 1.0), (2, 3, 1.0), (3, 4, 1.0),
+                          (4, 0, 1.0), (1, 3, 1.0)], labels=labels)
+    r = randomize(g, model, 0)
+    assert r.labels == labels
+    assert [r.id_of(lab) for lab in labels] == [g.id_of(lab) for lab in labels]
+    unlabeled = randomize(directed_gnp(8, 0.4, seed=1), model, 0)
+    assert unlabeled.labels is None
+    with pytest.raises(KeyError):
+        unlabeled.id_of("a")
+
+
 class TestRandomizeDegreePreserving:
     def test_degree_sequences_identical(self):
         g = directed_gnp(25, 0.15, seed=6)

@@ -116,6 +116,8 @@ class TestConstruction:
     def test_duplicate_labels_rejected(self):
         with pytest.raises(GraphValidationError, match="unique"):
             DirectedGraph(2, [], labels=("x", "x"))
+        with pytest.raises(GraphValidationError, match="unique"):
+            DirectedGraph.from_arrays(2, [], [], [], labels=("x", "x"))
 
     @pytest.mark.parametrize(
         "edges, message",

@@ -5,7 +5,15 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from dcex import CommunityState, DirectedGraph, run_chain, score
+from dcex import (
+    CommunityState,
+    DirectedGraph,
+    MoveRejected,
+    move_delta,
+    run_chain,
+    score,
+    symmetrize,
+)
 from dcex.criterion import (
     CriterionParams,
     is_admissible_size,
@@ -207,6 +215,40 @@ def float_weighted_graphs(draw):
     return DirectedGraph(n, edges)
 
 
+class ReferenceDeltas:
+    """Observer recomputing each proposal's delta with :func:`move_delta`.
+
+    It keeps its own mirror state, updated only through ``move_delta``'s
+    counts, and compares before applying each step, so rejected proposals
+    are checked too.  ``|delta - reference|`` may be at most ``rel_tol``
+    times the larger of the graph's total weight and the two W values: the
+    counts are sums of edge weights, and W = ... - q^n * B_S magnifies
+    their rounding by up to q^n, so it shows at the scale of W.
+    """
+
+    def __init__(self, g, params, init, hastings, rel_tol):
+        self.g, self.params, self.hastings = g, params, hastings
+        self.rel_tol = rel_tol
+        self.mirror = CommunityState.from_members(g, init)
+        self.checked = 0
+
+    def __call__(self, event, state):
+        args = (self.g, self.mirror, event.node, event.direction, self.params)
+        if event.delta is None:
+            assert not event.accepted
+            if not self.hastings:  # the correction also rejects removals
+                with pytest.raises(MoveRejected):
+                    move_delta(*args)
+            return
+        ref, counts = move_delta(*args)
+        w = value_from_counts(*self.mirror.counts(), self.g.n_nodes, self.params)
+        scale = max(self.g.total_weight, abs(w), abs(w + ref))
+        assert abs(event.delta - ref) <= self.rel_tol * scale, (event, ref)
+        if event.accepted:
+            self.mirror.apply_move(event.node, event.direction, counts)
+        self.checked += 1
+
+
 class TestIncrementalCounts:
     @pytest.mark.parametrize("hastings", [False, True])
     @settings(max_examples=10, deadline=None, derandomize=True)
@@ -225,20 +267,41 @@ class TestIncrementalCounts:
         # rounding residue incrementally.
         tol = 1e-9 * g.total_weight
         checked = []
+        start = int(g.edge_src[0])
+        # Float weights: the deltas match the reference within rounding.
+        ref_deltas = ReferenceDeltas(g, params, (start,), hastings, rel_tol=1e-9)
 
         def check(event, state):
+            ref_deltas(event, state)
             fresh = CommunityState.from_members(g, state.members)
             assert state.size == fresh.size == event.size
             for inc, ref in zip(state.counts()[:3], fresh.counts()[:3]):
                 assert math.isclose(inc, ref, rel_tol=1e-9, abs_tol=tol)
             checked.append(event.step)
 
-        start = int(g.edge_src[0])
         cfg = ChainConfig(c=c, seed=seed, max_steps=5000, patience=5000,
                           init_members=(start,), hastings_corrected=hastings)
         r = run_chain(g, params, cfg, observer=check)
         assert r.steps_run == 5000
         assert checked == list(range(1, 5001))
+
+
+class TestReferenceDeltas:
+    @pytest.mark.parametrize("hastings", [False, True])
+    @pytest.mark.parametrize("mode", ["directed", "undirected"])
+    @pytest.mark.parametrize("seed", [0, 1])
+    def test_unit_weights_match_exactly(self, hastings, mode, seed):
+        g = directed_gnp(60, 0.08, seed=30 + seed)
+        if mode == "undirected":
+            g = symmetrize(g)
+        params = CriterionParams(rho=0.6, n=5.0, mode=mode)
+        start = int(g.edge_src[0])
+        ref = ReferenceDeltas(g, params, (start,), hastings, rel_tol=0.0)
+        cfg = ChainConfig(c=1e-3, seed=seed, max_steps=20_000, patience=20_000,
+                          init_members=(start,), hastings_corrected=hastings)
+        r = run_chain(g, params, cfg, observer=ref)
+        assert ref.checked > r.steps_run // 2
+        assert r.accepted > 100
 
 
 class TestFrequencyRanking:
