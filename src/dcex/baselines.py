@@ -18,7 +18,7 @@ import numpy as np
 from .criterion import MODE_UNDIRECTED
 from .evaluation import PartitionLabels
 from .extraction import ExtractionConfig, ExtractionReport, extract_all
-from .graph import DirectedGraph, symmetrize
+from .graph import DirectedGraph, subgraph_complement, symmetrize
 
 _POWER_TOL = 1e-8
 _POWER_MAX_ITERS = 10_000
@@ -56,73 +56,49 @@ def run_dmm(g: DirectedGraph, config: DmmConfig = DmmConfig()) -> PartitionLabel
     gain; stops when no split improves Q or the target count is reached.
     Every node ends up in exactly one part.  Deterministic.
     """
-    n = g.n_nodes
-    if n == 0:
-        return PartitionLabels(assignments={})
-    parts: list[list[int]] = [list(range(n))]
-    if g.total_weight == 0:
-        return _labels_from_parts(parts)
-
-    while len(parts) < config.target_parts:
-        best_gain = _GAIN_TOL
-        best_idx = None
-        best_split = None
+    parts: list[list[int]] = [list(range(g.n_nodes))]
+    while g.total_weight > 0 and len(parts) < config.target_parts:
+        best = None  # (side_a, side_b, gain, index) of the best split so far
         for idx, part in enumerate(parts):
             if len(part) < 2:
                 continue
             split = _split_part(g, part, config.refinement_passes)
-            if split is None:
-                continue
-            side_a, side_b, gain = split
-            if gain > best_gain:
-                best_gain = gain
-                best_idx = idx
-                best_split = (side_a, side_b)
-        if best_idx is None:
+            if split is not None and (best is None or split[2] > best[2]):
+                best = (*split, idx)
+        if best is None:
             break
-        side_a, side_b = best_split
-        parts[best_idx] = side_a
-        parts.insert(best_idx + 1, side_b)
-    return _labels_from_parts(parts)
-
-
-def _labels_from_parts(parts) -> PartitionLabels:
-    assignments = {}
-    for cid, part in enumerate(parts):
-        for u in part:
-            assignments[int(u)] = cid
-    return PartitionLabels(assignments=assignments)
+        side_a, side_b, _, idx = best
+        parts[idx:idx + 1] = [side_a, side_b]
+    return PartitionLabels(
+        assignments={u: cid for cid, part in enumerate(parts) for u in part}
+    )
 
 
 def _split_part(g, part, refinement_passes):
-    """Candidate bisection of ``part``: (side_a, side_b, Q gain) or None."""
-    nodes = sorted(part)
-    k = len(nodes)
-    m = g.total_weight
-    local = {u: i for i, u in enumerate(nodes)}
+    """Candidate bisection of ``part``: (side_a, side_b, Q gain) or None.
+
+    The part's edges and adjacency lists are those of its induced subgraph,
+    built by :func:`subgraph_complement`; the degrees and ``m`` stay the
+    whole graph's, as Q is the whole graph's modularity.
+    """
     in_part = np.zeros(g.n_nodes, dtype=bool)
-    in_part[nodes] = True
+    in_part[part] = True
+    sub, nodes = subgraph_complement(g, np.flatnonzero(~in_part).tolist())
+    nodes = np.asarray(nodes)
+    k = sub.n_nodes
+    m = g.total_weight
+    src_l, dst_l, w_l = sub.edge_src, sub.edge_dst, sub.edge_weight
 
-    emask = in_part[g.edge_src] & in_part[g.edge_dst]
-    src_l = np.fromiter(
-        (local[int(s)] for s in g.edge_src[emask]), dtype=np.int64, count=emask.sum()
-    )
-    dst_l = np.fromiter(
-        (local[int(d)] for d in g.edge_dst[emask]), dtype=np.int64, count=emask.sum()
-    )
-    w_l = g.edge_weight[emask].astype(np.float64)
-
-    k_in = np.array([g.in_strength[u] for u in nodes])
-    k_out = np.array([g.out_strength[u] for u in nodes])
-    kin_tot = k_in.sum()
-    kout_tot = k_out.sum()
+    k_in = np.asarray(g.in_strength)[nodes]
+    k_out = np.asarray(g.out_strength)[nodes]
+    expected = (k_in * k_out.sum() + k_out * k_in.sum()) / m
 
     row_a = np.bincount(src_l, weights=w_l, minlength=k)  # within-part out weight
     col_a = np.bincount(dst_l, weights=w_l, minlength=k)  # within-part in weight
     # Row sums of the symmetrized modularity matrix restricted to the part;
     # subtracting them on the diagonal makes the split's Q gain a quadratic
     # form in the +/-1 side vector.
-    row_sum = row_a + col_a - (k_in * kout_tot + k_out * kin_tot) / m
+    row_sum = row_a + col_a - expected
 
     def matvec(x):
         ax = np.bincount(src_l, weights=w_l * x[dst_l], minlength=k)
@@ -130,16 +106,13 @@ def _split_part(g, part, refinement_passes):
         rank = (k_in * (k_out @ x) + k_out * (k_in @ x)) / m
         return ax + atx - rank - row_sum * x
 
-    shift = float(
-        np.max(row_a + col_a + (k_in * kout_tot + k_out * kin_tot) / m + np.abs(row_sum))
-    )
+    shift = float(np.max(row_a + col_a + expected + np.abs(row_sum)))
     if shift <= 0:
         return None
 
     rng = np.random.default_rng(0xDCE)
     v = rng.standard_normal(k)
     v /= np.linalg.norm(v)
-    eigval = 0.0
     for _ in range(_POWER_MAX_ITERS):
         y = matvec(v) + shift * v
         norm = np.linalg.norm(y)
@@ -152,33 +125,25 @@ def _split_part(g, part, refinement_passes):
         v = y
         if delta < _POWER_TOL:
             break
-    eigval = float(v @ matvec(v))
-    if eigval <= _GAIN_TOL:
+    if float(v @ matvec(v)) <= _GAIN_TOL:
         return None
 
     side = v >= 0  # True = side A
     if side.all() or not side.any():
         return None
+    side = _refine_split(sub, side, k_in, k_out, m, refinement_passes)
 
-    side = _refine_split(
-        g, nodes, side, k_in, k_out, src_l, dst_l, w_l, m, refinement_passes
-    )
-    if side.all() or not side.any():
-        return None
-
-    gain = _split_gain(side, src_l, dst_l, w_l, k_in, k_out, m)
+    gain = _split_gain(sub, side, k_in, k_out, m)
     if gain <= _GAIN_TOL:
         return None
-    side_a = [nodes[i] for i in range(k) if side[i]]
-    side_b = [nodes[i] for i in range(k) if not side[i]]
-    return side_a, side_b, gain
+    return nodes[side].tolist(), nodes[~side].tolist(), gain
 
 
-def _split_gain(side, src_l, dst_l, w_l, k_in, k_out, m):
-    """Q(part split in two) - Q(part whole)."""
-    same = side[src_l] == side[dst_l]
-    w_same = float(w_l[same].sum())
-    w_all = float(w_l.sum())
+def _split_gain(sub, side, k_in, k_out, m):
+    """Q(part split in two) - Q(part whole), for the part's subgraph ``sub``."""
+    same = side[sub.edge_src] == side[sub.edge_dst]
+    w_same = float(sub.edge_weight[same].sum())
+    w_all = float(sub.edge_weight.sum())
     kin_a = float(k_in[side].sum())
     kout_a = float(k_out[side].sum())
     kin_b = float(k_in[~side].sum())
@@ -188,42 +153,36 @@ def _split_gain(side, src_l, dst_l, w_l, k_in, k_out, m):
     return (after - before) / m
 
 
-def _refine_split(g, nodes, side, k_in, k_out, src_l, dst_l, w_l, m, passes):
+def _refine_split(sub, side, k_in, k_out, m, passes):
     """Greedy single-node moves between the two sides; only improving moves.
 
+    ``sub`` is the part's induced subgraph and ``side`` a boolean array over
+    its nodes (True = side A); ``k_in`` and ``k_out`` are their degrees in
+    the whole graph of weight ``m``.  A move's delta walks the node's
+    adjacency lists in ``sub``, in O(degree).  No move empties a side, and
     Q is monotone non-decreasing across passes by construction.
     """
-    k = len(nodes)
-    side = side.copy()
-    # Per-node within-part adjacency for O(degree) move deltas.
-    adj_out: list[list[tuple[int, float]]] = [[] for _ in range(k)]
-    adj_in: list[list[tuple[int, float]]] = [[] for _ in range(k)]
-    for s, d, w in zip(src_l.tolist(), dst_l.tolist(), w_l.tolist()):
-        adj_out[s].append((d, w))
-        adj_in[d].append((s, w))
-
     kin_side = [float(k_in[~side].sum()), float(k_in[side].sum())]
     kout_side = [float(k_out[~side].sum()), float(k_out[side].sum())]
+    size = [int((~side).sum()), int(side.sum())]
+    side, k_in, k_out = side.tolist(), k_in.tolist(), k_out.tolist()
 
     for _ in range(passes):
         moved = False
-        for i in range(k):
+        for i in range(sub.n_nodes):
             cur = int(side[i])
             oth = 1 - cur
-            if (side == bool(cur)).sum() <= 1:
+            if size[cur] <= 1:
                 continue  # never empty a side
             w_to_cur = 0.0
             w_to_oth = 0.0
-            for j, w in adj_out[i]:
-                if int(side[j]) == cur:
-                    w_to_cur += w
-                else:
-                    w_to_oth += w
-            for j, w in adj_in[i]:
-                if int(side[j]) == cur:
-                    w_to_cur += w
-                else:
-                    w_to_oth += w
+            for nbrs, wts in ((sub.out_nbrs[i], sub.out_wts[i]),
+                              (sub.in_nbrs[i], sub.in_wts[i])):
+                for j, w in zip(nbrs, wts):
+                    if side[j] == cur:
+                        w_to_cur += w
+                    else:
+                        w_to_oth += w
             d_internal = w_to_oth - w_to_cur
             d_expected = (
                 k_in[i] * (kout_side[oth] - (kout_side[cur] - k_out[i]))
@@ -232,6 +191,8 @@ def _refine_split(g, nodes, side, k_in, k_out, src_l, dst_l, w_l, m, passes):
             gain = (d_internal - d_expected) / m
             if gain > _GAIN_TOL:
                 side[i] = not side[i]
+                size[cur] -= 1
+                size[oth] += 1
                 kin_side[cur] -= k_in[i]
                 kout_side[cur] -= k_out[i]
                 kin_side[oth] += k_in[i]
@@ -239,4 +200,4 @@ def _refine_split(g, nodes, side, k_in, k_out, src_l, dst_l, w_l, m, passes):
                 moved = True
         if not moved:
             break
-    return side
+    return np.array(side, dtype=bool)

@@ -180,11 +180,7 @@ def _cmd_extract(args) -> int:
     t0 = time.perf_counter()
     if args.trace and args.method == "dmm":
         raise ValueError("--trace needs --method dce or uce: dmm runs no chain")
-    graph_path = Path(args.graph)
-    if not graph_path.exists():
-        print(f"error: graph file not found: {graph_path}", file=sys.stderr)
-        return EXIT_USAGE
-    g = load_edge_list(graph_path, directed=not args.undirected)
+    g = load_edge_list(args.graph, directed=not args.undirected)
     t_load = time.perf_counter() - t0
 
     timings = {"load_s": t_load}
@@ -267,10 +263,11 @@ def _parse_floats(text: str) -> list[float]:
 def _sweep_task(task) -> list[dict]:
     """One (cell, replicate) unit: generate, run every method, score. Picklable.
 
-    ``task`` is ``(spec, config, methods, parts)``; each chain method runs
-    ``config`` with its own chain seed derived from ``spec.seed``.
+    ``task`` is ``(spec, config, methods, dmm)``; each chain method runs
+    ``config`` with its own chain seed derived from ``spec.seed``, and dmm
+    runs the :class:`DmmConfig` ``dmm``.
     """
-    spec, config, methods, parts = task
+    spec, config, methods, dmm = task
     graph, truth = generate(spec)
     truth_pair = (truth.s1, truth.s2)
     rows = []
@@ -289,7 +286,7 @@ def _sweep_task(task) -> list[dict]:
         t0 = time.perf_counter()
         try:
             if method == "dmm":
-                labels = run_dmm(graph, DmmConfig(target_parts=parts))
+                labels = run_dmm(graph, dmm)
                 cand = labels.as_sets()
                 aj, _ = best_pair_adjusted_jaccard(truth_pair, cand)
             else:
@@ -320,6 +317,8 @@ def _cmd_sweep(args) -> int:
     if args.replicates < 0:
         raise ValueError("replicates must be >= 0")
 
+    dmm = DmmConfig(target_parts=args.parts) if "dmm" in methods else None
+
     chain = ChainConfig(c=args.c, max_steps=args.max_steps, patience=args.patience)
     tasks = []
     for ci, (rho, n, p1, p2) in enumerate(product(rhos, ns, p1s, p2s)):
@@ -334,7 +333,7 @@ def _cmd_sweep(args) -> int:
         )
         for rep in range(args.replicates):
             tasks.append((replace(spec, seed=derive_seed(args.seed, ci, rep)),
-                          config, methods, args.parts))
+                          config, methods, dmm))
     all_rows = list(map_jobs(_sweep_task, tasks, args.jobs))
 
     with open(args.out, "w", encoding="utf-8", newline="") as fh:
@@ -345,6 +344,12 @@ def _cmd_sweep(args) -> int:
                 writer.writerow(row)
     timings = {"total_s": time.perf_counter() - t0}
     _write_manifest(args.out, "sweep", _echo_args(args), args.seed, timings)
+    failed = sum(bool(row["error"]) for rows in all_rows for row in rows)
+    if failed:
+        total = sum(len(rows) for rows in all_rows)
+        print(f"error: {failed} of {total} rows failed; see the error column of "
+              f"{args.out}", file=sys.stderr)
+        return EXIT_RUNTIME
     return EXIT_OK
 
 

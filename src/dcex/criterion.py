@@ -175,16 +175,6 @@ class CommunityState:
             self.in_set[u] = 0
         self.o_s, self.b_in, self.b_out, self.size = new_counts
 
-    def copy(self) -> "CommunityState":
-        return CommunityState(
-            set(self.members),
-            bytearray(self.in_set),
-            self.size,
-            self.o_s,
-            self.b_in,
-            self.b_out,
-        )
-
 
 def score(g, state, params: CriterionParams) -> Score:
     """Evaluate the criterion on a subset.

@@ -13,7 +13,7 @@ from collections import Counter
 import numpy as np
 
 from dcex import DirectedGraph, derive_seed, max_admissible_size
-from dcex.criterion import score_from_counts, value_from_counts
+from dcex.criterion import CommunityState, score_from_counts, value_from_counts
 from dcex.extraction import _exceedance_limit, _one_null_score
 
 
@@ -300,3 +300,148 @@ def undirected_components(g: DirectedGraph) -> list[list[int]]:
                     stack.append(v)
         comps.append(sorted(comp))
     return comps
+
+
+def copy_state(state: CommunityState) -> CommunityState:
+    """Independent copy of ``state`` whose cached counts are the same floats.
+
+    The counts are copied, not recomputed with ``from_members``, so a check
+    that a move and its inverse restore them bit for bit sees the incremental
+    counts themselves.
+    """
+    return CommunityState(set(state.members), bytearray(state.in_set), state.size,
+                          state.o_s, state.b_in, state.b_out)
+
+
+_DMM_TOL = 1e-12
+
+
+def reference_dmm(g: DirectedGraph, parts: int, passes: int) -> dict[int, int]:
+    """Node -> part id from a standalone DMM with ``parts`` target parts and
+    ``passes`` refinement passes.
+
+    It indexes each part with a dict and keeps its own adjacency lists
+    instead of calling ``subgraph_complement``, so it checks the library's
+    ``run_dmm`` against an independent build of every part.  Its float sums
+    run in the same order, so the assignments must agree exactly.
+    """
+    n = g.n_nodes
+    split_parts: list[list[int]] = [list(range(n))]
+    while n and g.total_weight != 0 and len(split_parts) < parts:
+        best_gain, best_idx, best_split = _DMM_TOL, None, None
+        for idx, part in enumerate(split_parts):
+            split = _ref_split_part(g, part, passes) if len(part) >= 2 else None
+            if split is not None and split[2] > best_gain:
+                best_gain, best_idx, best_split = split[2], idx, split[:2]
+        if best_idx is None:
+            break
+        split_parts[best_idx:best_idx + 1] = best_split
+    return {int(u): cid for cid, part in enumerate(split_parts) for u in part}
+
+
+def _ref_split_part(g, part, passes):
+    nodes = sorted(part)
+    k = len(nodes)
+    m = g.total_weight
+    local = {u: i for i, u in enumerate(nodes)}
+    in_part = np.zeros(g.n_nodes, dtype=bool)
+    in_part[nodes] = True
+    emask = in_part[g.edge_src] & in_part[g.edge_dst]
+    src_l = np.fromiter((local[int(s)] for s in g.edge_src[emask]), dtype=np.int64,
+                        count=emask.sum())
+    dst_l = np.fromiter((local[int(d)] for d in g.edge_dst[emask]), dtype=np.int64,
+                        count=emask.sum())
+    w_l = g.edge_weight[emask].astype(np.float64)
+    k_in = np.array([g.in_strength[u] for u in nodes])
+    k_out = np.array([g.out_strength[u] for u in nodes])
+    kin_tot = k_in.sum()
+    kout_tot = k_out.sum()
+    row_a = np.bincount(src_l, weights=w_l, minlength=k)
+    col_a = np.bincount(dst_l, weights=w_l, minlength=k)
+    row_sum = row_a + col_a - (k_in * kout_tot + k_out * kin_tot) / m
+
+    def matvec(x):
+        ax = np.bincount(src_l, weights=w_l * x[dst_l], minlength=k)
+        atx = np.bincount(dst_l, weights=w_l * x[src_l], minlength=k)
+        rank = (k_in * (k_out @ x) + k_out * (k_in @ x)) / m
+        return ax + atx - rank - row_sum * x
+
+    shift = float(
+        np.max(row_a + col_a + (k_in * kout_tot + k_out * kin_tot) / m + np.abs(row_sum))
+    )
+    if shift <= 0:
+        return None
+    rng = np.random.default_rng(0xDCE)
+    v = rng.standard_normal(k)
+    v /= np.linalg.norm(v)
+    for _ in range(10_000):
+        y = matvec(v) + shift * v
+        norm = np.linalg.norm(y)
+        if norm == 0:
+            return None
+        y /= norm
+        if y @ v < 0:
+            y = -y
+        delta = float(np.max(np.abs(y - v)))
+        v = y
+        if delta < 1e-8:
+            break
+    if float(v @ matvec(v)) <= _DMM_TOL:
+        return None
+    side = v >= 0
+    if side.all() or not side.any():
+        return None
+    side = _ref_refine_split(nodes, side, k_in, k_out, src_l, dst_l, w_l, m, passes)
+    if side.all() or not side.any():
+        return None
+    same = side[src_l] == side[dst_l]
+    kin_a, kout_a = float(k_in[side].sum()), float(k_out[side].sum())
+    kin_b, kout_b = float(k_in[~side].sum()), float(k_out[~side].sum())
+    before = float(w_l.sum()) - (kin_a + kin_b) * (kout_a + kout_b) / m
+    after = float(w_l[same].sum()) - (kin_a * kout_a + kin_b * kout_b) / m
+    gain = (after - before) / m
+    if gain <= _DMM_TOL:
+        return None
+    return ([nodes[i] for i in range(k) if side[i]],
+            [nodes[i] for i in range(k) if not side[i]], gain)
+
+
+def _ref_refine_split(nodes, side, k_in, k_out, src_l, dst_l, w_l, m, passes):
+    k = len(nodes)
+    side = side.copy()
+    adj_out: list[list[tuple[int, float]]] = [[] for _ in range(k)]
+    adj_in: list[list[tuple[int, float]]] = [[] for _ in range(k)]
+    for s, d, w in zip(src_l.tolist(), dst_l.tolist(), w_l.tolist()):
+        adj_out[s].append((d, w))
+        adj_in[d].append((s, w))
+    kin_side = [float(k_in[~side].sum()), float(k_in[side].sum())]
+    kout_side = [float(k_out[~side].sum()), float(k_out[side].sum())]
+    for _ in range(passes):
+        moved = False
+        for i in range(k):
+            cur = int(side[i])
+            oth = 1 - cur
+            if (side == bool(cur)).sum() <= 1:
+                continue
+            w_to_cur = 0.0
+            w_to_oth = 0.0
+            for j, w in adj_out[i] + adj_in[i]:
+                if int(side[j]) == cur:
+                    w_to_cur += w
+                else:
+                    w_to_oth += w
+            d_internal = w_to_oth - w_to_cur
+            d_expected = (
+                k_in[i] * (kout_side[oth] - (kout_side[cur] - k_out[i]))
+                + k_out[i] * (kin_side[oth] - (kin_side[cur] - k_in[i]))
+            ) / m
+            if (d_internal - d_expected) / m > _DMM_TOL:
+                side[i] = not side[i]
+                kin_side[cur] -= k_in[i]
+                kout_side[cur] -= k_out[i]
+                kin_side[oth] += k_in[i]
+                kout_side[oth] += k_out[i]
+                moved = True
+        if not moved:
+            break
+    return side

@@ -36,7 +36,7 @@ from dcex.evaluation import best_pair_adjusted_jaccard
 from dcex.extraction import ExtractionConfig
 from dcex.sampler import ChainConfig
 
-from helpers import brute_force_optimum, directed_gnp
+from helpers import brute_force_optimum, copy_state, directed_gnp
 
 
 def report(criterion, detail):
@@ -101,7 +101,7 @@ def test_criterion_2_incremental_correctness():
         delta, new_counts = move_delta(g, state, u, direction, params)
         # involution: inverting the move restores the counts bit for bit
         inverse = "remove" if direction == "add" else "add"
-        probe = state.copy()
+        probe = copy_state(state)
         probe.apply_move(u, direction, new_counts)
         delta_back, back_counts = move_delta(g, probe, u, inverse, params)
         assert back_counts == state.counts()

@@ -2,6 +2,8 @@ import itertools
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from dcex import (
     BenchmarkSpec,
@@ -15,7 +17,12 @@ from dcex.criterion import MODE_UNDIRECTED, CommunityState, CriterionParams, sco
 from dcex.extraction import ExtractionConfig, extract_all
 from dcex.sampler import ChainConfig
 
-from helpers import directed_gnp, directed_modularity, two_cliques_graph
+from helpers import (
+    directed_gnp,
+    directed_modularity,
+    reference_dmm,
+    two_cliques_graph,
+)
 
 
 class TestUce:
@@ -107,6 +114,24 @@ class TestUce:
         assert len(first & dense) >= 0.7 * len(first)
 
 
+@st.composite
+def dmm_cases(draw):
+    """(graph, parts, passes): a random graph on 2-60 nodes, some of them
+    isolated, with unit weights or float weights in [0.5, 2]."""
+    n = draw(st.integers(2, 60))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    linked = rng.permutation(n)[: n - draw(st.integers(0, n // 3))]
+    mask = rng.random((len(linked), len(linked))) < draw(st.sampled_from([0.05, 0.3]))
+    np.fill_diagonal(mask, False)
+    src, dst = np.nonzero(mask)
+    if draw(st.booleans()):
+        weight = rng.uniform(0.5, 2.0, size=len(src))
+    else:
+        weight = np.ones(len(src))
+    g = DirectedGraph.from_arrays(n, linked[src], linked[dst], weight)
+    return g, draw(st.integers(2, 5)), draw(st.integers(0, 10))
+
+
 def brute_force_best_bisection_q(g):
     """Max directed modularity over all 2-partitions (test oracle)."""
     n = g.n_nodes
@@ -182,6 +207,22 @@ class TestDmm:
         g = DirectedGraph(16, edges)
         labels = run_dmm(g, DmmConfig(target_parts=2))
         assert len(labels.parts()) <= 2
+
+    @settings(max_examples=60, deadline=None)
+    @given(dmm_cases())
+    def test_matches_reference_dmm(self, case):
+        # The reference builds each part with its own index map and
+        # adjacency lists; every split and refinement move must agree.
+        g, parts, passes = case
+        labels = run_dmm(g, DmmConfig(target_parts=parts, refinement_passes=passes))
+        assert labels.assignments == reference_dmm(g, parts, passes)
+
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_matches_reference_dmm_on_planted_graph(self, seed):
+        spec = BenchmarkSpec(n1=40, n2=50, n0=410, p1=0.7, p2=0.05, seed=seed)
+        g, _ = generate_benchmark(spec)
+        labels = run_dmm(g, DmmConfig(target_parts=3))
+        assert labels.assignments == reference_dmm(g, 3, 10)
 
     def test_config_validation(self):
         with pytest.raises(ValueError):

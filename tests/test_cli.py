@@ -299,6 +299,29 @@ class TestSweepCommand:
         assert run_cli(*self.sweep_args(tmp_path / "x.csv",
                                         **{"--methods": "dce,bogus"})) == 2
 
+    def test_bad_parts_exits_2_before_any_work(self, tmp_path, capsys):
+        out = tmp_path / "x.csv"
+        assert run_cli(*self.sweep_args(out, **{"--parts": 1})) == 2
+        assert "target_parts must be >= 2" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_failed_rows_are_kept_and_exit_1(self, tmp_path, capsys, monkeypatch):
+        def broken(graph, config):
+            raise RuntimeError("dmm broke")
+
+        monkeypatch.setattr("dcex.cli.run_dmm", broken)
+        out = tmp_path / "x.csv"
+        assert run_cli(*self.sweep_args(out, **{"--jobs": 1})) == 1
+        with open(out) as fh:
+            rows = list(csv.DictReader(fh))
+        assert len(rows) == 8
+        for row in rows:
+            if row["method"] == "dmm":
+                assert (row["error"], row["adjusted_jaccard"]) == ("dmm broke", "")
+            else:
+                assert row["error"] == ""
+        assert "4 of 8 rows failed" in capsys.readouterr().err
+
 
 class TestScalingCommand:
     def test_single_size_single_row(self, tmp_path):
