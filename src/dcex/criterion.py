@@ -98,14 +98,26 @@ def q_coefficient(b_in: float, b_out: float) -> float:
     return (b_in + b_out + 1.0) / (abs(b_in - b_out) + 1.0)
 
 
+def value_function(n_nodes, params):
+    """The one formula for W, as ``value(o_s, b_in, b_out, size)`` on a graph
+    of n_nodes, with rho*N and the mode bound once; no admissibility check
+    (callers guarantee it)."""
+    rho_n = params.rho * n_nodes
+    if params.mode == MODE_DIRECTED:
+        n = params.n
+
+        def value(o_s, b_in, b_out, size):
+            return ((rho_n - size) * o_s / size
+                    - q_coefficient(b_in, b_out) ** n * (b_in + b_out))
+    else:
+        def value(o_s, b_in, b_out, size):  # q = 1, and 1.0 * x == x
+            return (rho_n - size) * o_s / size - (b_in + b_out)
+    return value
+
+
 def value_from_counts(o_s, b_in, b_out, size, n_nodes, params) -> float:
     """W from raw counts; no admissibility check (callers guarantee it)."""
-    eff = params.rho * n_nodes - size
-    if params.mode == MODE_DIRECTED:
-        penalty = q_coefficient(b_in, b_out) ** params.n
-    else:
-        penalty = 1.0
-    return eff * o_s / size - penalty * (b_in + b_out)
+    return value_function(n_nodes, params)(o_s, b_in, b_out, size)
 
 
 def score_from_counts(o_s, b_in, b_out, size, n_nodes, params) -> Score:
@@ -195,13 +207,13 @@ def score(g, state, params: CriterionParams) -> Score:
     )
 
 
-def counts_after_move(g, state, u, direction, w_u_to_s, w_s_to_u):
-    """Counts ``(o_s, b_in, b_out, size)`` after adding or removing ``u``, in
-    O(1) and unchecked, from the weights from u into S and from S into u
-    (the same whether or not u is a member, as there are no self-loops).
-    """
-    out_rest = g.out_strength[u] - w_u_to_s  # u's out-weight outside S
-    in_rest = g.in_strength[u] - w_s_to_u
+def counts_after_move(state, direction, out_strength, in_strength,
+                      w_u_to_s, w_s_to_u):
+    """Counts ``(o_s, b_in, b_out, size)`` after adding or removing a node u, in
+    O(1) and unchecked, from u's out- and in-strength and its weights into and
+    from S (the same whether or not u is a member, as there are no self-loops)."""
+    out_rest = out_strength - w_u_to_s  # u's out-weight outside S
+    in_rest = in_strength - w_s_to_u
     if direction == "add":
         return (state.o_s + w_u_to_s + w_s_to_u,
                 state.b_in - w_u_to_s + in_rest,
@@ -245,6 +257,7 @@ def move_delta(g, state: CommunityState, u: int, direction: str, params):
     for v, w in zip(g.in_nbrs[u], g.in_wts[u]):
         if in_set[v]:
             w_s_to_u += w
-    counts = counts_after_move(g, state, u, direction, w_u_to_s, w_s_to_u)
-    w_before = value_from_counts(*state.counts(), g.n_nodes, params)
-    return value_from_counts(*counts, g.n_nodes, params) - w_before, counts
+    counts = counts_after_move(state, direction, g.out_strength[u],
+                               g.in_strength[u], w_u_to_s, w_s_to_u)
+    value = value_function(g.n_nodes, params)
+    return value(*counts) - value(*state.counts()), counts

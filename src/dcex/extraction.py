@@ -216,9 +216,10 @@ def _randomize_degree_preserving(g, rng) -> DirectedGraph:
         raise GraphValidationError(
             "degree_preserving randomization needs at least 2 edges"
         )
+    n = g.n_nodes
     src = g.edge_src.tolist()
     dst = g.edge_dst.tolist()
-    eset = set(zip(src, dst))
+    eset = set((g.edge_src * n + g.edge_dst).tolist())  # edge a->b is a*n + b
     n_edges = len(src)
     target = 10 * n_edges
     max_attempts = 20 * target
@@ -240,12 +241,13 @@ def _randomize_degree_preserving(g, rng) -> DirectedGraph:
         # (a->b, c->d) => (a->d, c->b); skip no-ops, self-loops, duplicates.
         if a == c or b == d or a == d or c == b:
             continue
-        if (a, d) in eset or (c, b) in eset:
+        ad, cb = a * n + d, c * n + b
+        if ad in eset or cb in eset:
             continue
-        eset.discard((a, b))
-        eset.discard((c, d))
-        eset.add((a, d))
-        eset.add((c, b))
+        eset.discard(a * n + b)
+        eset.discard(c * n + d)
+        eset.add(ad)
+        eset.add(cb)
         dst[ia] = d
         dst[ic] = b
         accepted += 1

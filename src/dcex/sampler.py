@@ -10,6 +10,10 @@ The plain ratio ignores the changing pool size, so the stationary law is
 only approximately proportional to exp(c * W); ``hastings_corrected``
 multiplies the ratio by |pool(S)| / |pool(S')| to make it exact on the
 reachable state space.
+
+Each node keeps its edge weight to and from S, so a proposal costs O(1), and
+a proposal repeated from an unchanged subset is one lookup.  An accepted move
+costs O(degree) and clears that memo of outcomes.
 """
 
 from __future__ import annotations
@@ -26,7 +30,7 @@ from .criterion import (
     counts_after_move,
     max_admissible_size,
     score,
-    value_from_counts,
+    value_function,
 )
 
 _RNG_BLOCK = 8192
@@ -145,6 +149,10 @@ def run_chain(
 
     The reported ``best_score`` is evaluated from scratch on the reported
     ``best_state``, so it is exactly ``score(g, result.best_state, params)``.
+
+    A proposal repeated from an unchanged subset is a lookup of its delta, log
+    ratio and acceptance bar (it still draws its own uniform); an accepted
+    move costs O(degree) and clears that memo.
     """
     n = g.n_nodes
     if n < 2:
@@ -169,7 +177,8 @@ def run_chain(
         init = (int(rng.integers(0, n)),)
 
     state = CommunityState.from_members(g, init)
-    w_cur = value_from_counts(*state.counts(), n, params)
+    value = value_function(n, params)
+    w_cur = value(*state.counts())
 
     def make_result(stopped, steps, accepted, best_members):
         best_state = CommunityState.from_members(g, best_members)
@@ -209,15 +218,21 @@ def run_chain(
     next_uniform = _uniforms(rng).__next__
     c = config.c
     hastings = config.hastings_corrected
+    items = pool.items
+    out_strength, in_strength = g.out_strength, g.in_strength
+    exp, log = math.exp, math.log
     best_w = w_cur
     accepted = 0
     since_improve = 0
     stopped = "max_steps"
     steps = 0
+    # What proposing each node from the current state gives; S and
+    # everything a proposal reads change only on an accepted move.
+    memo = {}
 
     for step in range(1, max_steps + 1):
         steps = step
-        pool_len = len(pool.items)
+        pool_len = len(items)
         if pool_len == 1 and state.size == 1:
             # Isolated single-node state: no admissible move can ever fire.
             steps = step - 1
@@ -226,33 +241,44 @@ def run_chain(
         k = int(next_uniform() * pool_len)
         if k == pool_len:  # guard against rounding at the top of the range
             k = pool_len - 1
-        u = pool.items[k]
-        direction = "remove" if in_set[u] else "add"
-
-        if direction == "remove":
-            # With the correction, a u with no edge to the rest of S stays,
-            # as re-adding it could then never be proposed (detailed balance).
-            auto_reject = state.size == 1 or (hastings and cov[u] == 0)
+        u = items[k]
+        outcome = memo.get(u)
+        if outcome is not None:
+            direction, new_counts, w_new, delta, log_ratio, bar = outcome
         else:
-            auto_reject = state.size >= top
+            if in_set[u]:
+                direction = "remove"
+                # With the correction, a u with no edge to the rest of S stays,
+                # as re-adding it could then never be proposed (detailed balance).
+                auto_reject = state.size == 1 or (hastings and cov[u] == 0)
+            else:
+                direction = "add"
+                auto_reject = state.size >= top
+            if auto_reject:
+                new_counts = w_new = delta = log_ratio = bar = None
+            else:
+                new_counts = counts_after_move(state, direction, out_strength[u],
+                                               in_strength[u], to_s[u], from_s[u])
+                w_new = value(*new_counts)
+                delta = w_new - w_cur
+                log_ratio = c * delta
+                if hastings:
+                    log_ratio += log(pool_len / _pool_size_after(
+                        u, direction, pool_len, cov, in_set, adj))
+                # The acceptance bar; None when the move is accepted outright.
+                bar = None if log_ratio >= 0 else exp(log_ratio)
+            memo[u] = (direction, new_counts, w_new, delta, log_ratio, bar)
 
-        if auto_reject:
-            delta = log_ratio = unif = None
-            accept = False
+        if bar is None:  # an automatic rejection, or accepted outright
+            unif = None
+            accept = delta is not None
         else:
-            new_counts = counts_after_move(g, state, u, direction, to_s[u], from_s[u])
-            w_new = value_from_counts(*new_counts, n, params)
-            delta = w_new - w_cur
-            log_ratio = c * delta
-            if hastings:
-                log_ratio += math.log(
-                    pool_len / _pool_size_after(u, direction, pool_len, cov, in_set, adj)
-                )
-            unif = None if log_ratio >= 0 else next_uniform()
-            accept = unif is None or unif < math.exp(log_ratio)
+            unif = next_uniform()
+            accept = unif < bar
 
         if accept:
             accepted += 1
+            memo.clear()
             state.apply_move(u, direction, new_counts)
             w_cur = w_new
             if direction == "add":

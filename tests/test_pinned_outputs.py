@@ -1,0 +1,155 @@
+"""Pinned outputs: sha256 digests of chain event streams, of a short
+``dcex extract`` run and of degree-preserving null graphs.
+
+The digests were recorded before the chain learned to reuse a proposal's
+outcome while its state is unchanged, and before the swap loop keyed its
+edge set by ints; any change to the events, the RNG stream, the reports or
+the null graphs shows here.
+"""
+
+import hashlib
+import json
+from itertools import product
+from pathlib import Path
+
+import numpy as np
+import pytest
+
+from dcex import DirectedGraph, randomize, run_chain, symmetrize
+from dcex.cli import main
+from dcex.criterion import CriterionParams
+from dcex.sampler import ChainConfig
+
+from helpers import directed_gnp
+
+FIGURE1_EDGELIST = (
+    Path(__file__).resolve().parent.parent / "data" / "figure1" / "figure1.edgelist"
+)
+
+CHAIN_CASES = list(product([False, True], ["directed", "undirected"],
+                           ["unit", "float"], [0.05, 1000.0]))
+
+CHAIN_DIGESTS = {
+    (False, "directed", "unit", 0.05):
+        "2ea3e856032e031b56c7ff14db025bc2d70e4838b00ba218dbe7907b3a22014d",
+    (False, "directed", "unit", 1000.0):
+        "5c27c9b48435175ade2e7b103787a236eb1a0553da32bf23a3b41efc46a3721e",
+    (False, "directed", "float", 0.05):
+        "ba94cad508368b74d99601376e022aa1b8b199be8c4be1967ca5d78793a4bd64",
+    (False, "directed", "float", 1000.0):
+        "bb69dd5c316cad8c5a84ce2641cd7d60192ee049dd89989004b653070d74e16f",
+    (False, "undirected", "unit", 0.05):
+        "6e370779af3f8c227f1be2d75d0d25a4113443dd518035f74081d51179b3010b",
+    (False, "undirected", "unit", 1000.0):
+        "09f37e27668e252f8028d4aaf57cac349463c19cf04b5fbb39ff7625608e0abc",
+    (False, "undirected", "float", 0.05):
+        "637b074e7edcf23250fb1badca6990e7c874d13aece8803c4244c87846f48358",
+    (False, "undirected", "float", 1000.0):
+        "85043a8f3ae60cac6c08a3ca3f32d348e5fdf0144d93ca3ef355361025d41387",
+    (True, "directed", "unit", 0.05):
+        "badc9beda74ad462f7931d6b6ab92ac0647a308f4f9061de7b881e69a60efc96",
+    (True, "directed", "unit", 1000.0):
+        "e7270ed0683e968b0bf806e28093b409105d2946e0dee530d0833f2686db7521",
+    (True, "directed", "float", 0.05):
+        "17a95e74f255299e7a17e2c4dadbc514cfdad2a80a971163b6ec1f87efcc09aa",
+    (True, "directed", "float", 1000.0):
+        "7c816e7800af327059de37487fc84b769eb5860ae433c944116ebc0be83eb011",
+    (True, "undirected", "unit", 0.05):
+        "5696d6a7c8dffaf31e68b16efaae6dda1d8772bd0f2f356e838d1c014e891d36",
+    (True, "undirected", "unit", 1000.0):
+        "6df94d312a10a1651cdaea499d3fc6a8b290e2787fad36c331b81cde6aafe5d5",
+    (True, "undirected", "float", 0.05):
+        "9ad6cf59199eab04ffd68f98ed93054374b351b2d46f8d593f1b67ade2eca35a",
+    (True, "undirected", "float", 1000.0):
+        "6f73ce82e266397f6acff42c5e9fa3f8f29c5692945f256ad9e83ea0324a98b4",
+}
+
+EXTRACT_REPORT_DIGEST = (
+    "fe5dd69e40d86207bde2fed4d7adf9e9917bb58826d5ddc8ceb5acf71fcc9d09"
+)
+EXTRACT_TRACE_DIGEST = (
+    "040864b37fc4873c83618fa1b88b616c532a9a99a45d5c6236578bfa4cf81003"
+)
+
+NULL_GRAPH_DIGESTS = {
+    "gnp_seed_0": "a10e9e7b4356efbef506ea4ed266f4c80c1e407b758a148db7db1bac5a63f082",
+    "gnp_seed_1": "019a71295cc574bb464031ef083fe12fa826988c2ab62812f72f9156c94e451f",
+    "rigid": "9c5bb4496b64b27b44a4cddcfad2febac13411579a074dc8322f5e79836027a0",
+}
+
+
+def chain_digest(hastings, mode, weights, c):
+    """sha256 of every StepEvent of one chain, then its result."""
+    g = directed_gnp(40, 0.1, seed=21, float_weights=weights == "float")
+    if mode == "undirected":
+        g = symmetrize(g)
+    params = CriterionParams(rho=0.8, n=1.0, mode=mode)
+    cfg = ChainConfig(c=c, seed=3, max_steps=4000, patience=4000,
+                      hastings_corrected=hastings)
+    lines = []
+    r = run_chain(g, params, cfg,
+                  observer=lambda e, state: lines.append(repr(tuple(e))))
+    lines.append(repr((sorted(r.best_state.members), r.best_score.value,
+                       r.steps_run, r.accepted, r.stopped)))
+    return hashlib.sha256("\n".join(lines).encode()).hexdigest()
+
+
+def extract_digests(tmp_path):
+    """sha256 of the report and the ``--trace`` CSV of a short extract run."""
+    out, trace = tmp_path / "report.json", tmp_path / "trace.csv"
+    assert main(["extract", "--graph", str(FIGURE1_EDGELIST),
+                 "--null-replicates", "19", "--max-steps", "4000",
+                 "--patience", "2000", "--max-communities", "2",
+                 "--out", str(out), "--trace", str(trace)]) == 0
+    return (hashlib.sha256(out.read_bytes()).hexdigest(),
+            hashlib.sha256(trace.read_bytes()).hexdigest())
+
+
+def rigid_graph():
+    """Complete digraph on 6 nodes less two edges: few swaps exist, so the
+    attempt budget runs out before the swap target is met."""
+    edges = [(a, b) for a in range(6) for b in range(6)
+             if a != b and (a, b) not in ((0, 1), (2, 3))]
+    return DirectedGraph.from_arrays(
+        6, [a for a, _ in edges], [b for _, b in edges], np.ones(len(edges))
+    )
+
+
+NULL_GRAPH_CASES = {
+    "gnp_seed_0": lambda: randomize(directed_gnp(200, 0.05, seed=0),
+                                    "degree_preserving", 11),
+    "gnp_seed_1": lambda: randomize(
+        directed_gnp(200, 0.05, seed=1, float_weights=True), "degree_preserving", 12
+    ),
+    "rigid": lambda: randomize(rigid_graph(), "degree_preserving", 13),
+}
+
+
+def null_graph_digest(g):
+    h = hashlib.sha256()
+    for col, dtype in ((g.edge_src, np.int64), (g.edge_dst, np.int64),
+                       (g.edge_weight, np.float64)):
+        h.update(np.ascontiguousarray(col, dtype=dtype).tobytes())
+    h.update(json.dumps(g.meta, sort_keys=True).encode())
+    return h.hexdigest()
+
+
+@pytest.mark.parametrize("case", CHAIN_CASES, ids=lambda case: "-".join(
+    [("hastings" if case[0] else "plain"), *map(str, case[1:])]))
+def test_chain_event_stream_is_pinned(case):
+    assert chain_digest(*case) == CHAIN_DIGESTS[case]
+
+
+def test_extract_report_and_trace_are_pinned(tmp_path):
+    assert extract_digests(tmp_path) == (EXTRACT_REPORT_DIGEST, EXTRACT_TRACE_DIGEST)
+
+
+@pytest.mark.parametrize("name", sorted(NULL_GRAPH_CASES))
+def test_degree_preserving_null_graph_is_pinned(name):
+    assert null_graph_digest(NULL_GRAPH_CASES[name]()) == NULL_GRAPH_DIGESTS[name]
+
+
+def test_rigid_graph_exhausts_its_attempt_budget():
+    meta = NULL_GRAPH_CASES["rigid"]().meta
+    assert meta["attempts"] == 20 * meta["target_swaps"]
+    assert 0 < meta["accepted_swaps"] < meta["target_swaps"]

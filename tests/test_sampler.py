@@ -14,8 +14,10 @@ from dcex import (
     score,
     symmetrize,
 )
+from dcex import sampler
 from dcex.criterion import (
     CriterionParams,
+    counts_after_move,
     is_admissible_size,
     max_admissible_size,
     value_from_counts,
@@ -302,6 +304,48 @@ class TestReferenceDeltas:
         r = run_chain(g, params, cfg, observer=ref)
         assert ref.checked > r.steps_run // 2
         assert r.accepted > 100
+
+
+class TestProposalMemo:
+    @pytest.mark.parametrize("hastings", [False, True])
+    def test_a_repeated_proposal_is_worked_out_once(self, hastings, monkeypatch):
+        # A near-frozen chain on a small graph rejects almost every
+        # proposal, so most proposals repeat a node from an unchanged state.
+        g = directed_gnp(30, 0.15, seed=40)
+        params = CriterionParams(rho=0.8, n=1.0)
+        start = int(g.edge_src[0])
+        ref = ReferenceDeltas(g, params, (start,), hastings, rel_tol=0.0)
+        calls = []
+
+        def counted(*args):
+            calls.append(args)
+            return counts_after_move(*args)
+
+        monkeypatch.setattr(sampler, "counts_after_move", counted)
+        epoch = 0  # accepted moves so far: the state's identity
+        outcomes = {}
+        repeats = 0
+
+        def check(event, state):
+            nonlocal epoch, repeats
+            ref(event, state)
+            key = (epoch, event.node)
+            if calls:  # only the first proposal of a node from a state
+                assert len(calls) == 1 and key not in outcomes
+                calls.clear()
+            if key in outcomes:
+                repeats += 1
+                assert (event.delta, event.log_ratio) == outcomes[key]
+            outcomes[key] = (event.delta, event.log_ratio)
+            epoch += event.accepted
+
+        cfg = ChainConfig(c=0.5, seed=7, max_steps=5000, patience=5000,
+                          init_members=(start,), hastings_corrected=hastings)
+        r = run_chain(g, params, cfg, observer=check)
+        assert r.steps_run == 5000
+        assert r.accepted >= 50
+        assert ref.checked > 4000
+        assert repeats > 4000
 
 
 class TestFrequencyRanking:
