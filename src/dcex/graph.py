@@ -1,4 +1,8 @@
-"""Immutable directed-graph container with dual adjacency and edge-list I/O."""
+"""Immutable directed-graph container with dual adjacency and edge-list I/O.
+
+Edges are sorted numpy columns; a node's adjacency rows are cut from them on
+first read, so a local search pays only for the rows it reads.
+"""
 
 from __future__ import annotations
 
@@ -28,13 +32,16 @@ class DirectedGraph:
 
     One builder makes every instance from edge columns ``(src, dst,
     weight)``: it validates them, sums duplicates and computes strengths
-    with numpy, then slices the adjacency lists out of the sorted columns.
+    with numpy, and sorts the edges by destination once.
     ``DirectedGraph(n_nodes, edges)`` takes ``(src, dst, weight)`` triples;
     :meth:`from_arrays` takes the columns.
 
-    Instances are immutable after construction and safe to share between
-    concurrent readers.  The per-node adjacency lists are plain Python lists
-    because they sit on the hot path of the subset sampler.
+    The rows ``out_nbrs[u]``, ``out_wts[u]``, ``in_nbrs[u]``, ``in_wts[u]``
+    and ``adj_nbrs[u]`` (neighbours either way) are plain lists, made on the
+    first read of node u and kept; they share one int object per node and
+    one float per edge.  Read rows by node id only: ``len`` and iteration of
+    a row map count the rows made so far.  Pickles carry no rows.  Instances
+    are immutable and safe to share between concurrent readers.
     """
 
     __slots__ = (
@@ -112,33 +119,26 @@ class DirectedGraph:
         self.total_weight = float(self.edge_weight.sum())
         self.n_nodes = n_nodes
 
-        # Edges are sorted by (src, dst); a stable sort by dst orders them by
-        # (dst, src), so the in-neighbours of each node come out sorted too.
-        # The lists share one int object per node and one float per edge,
-        # which keeps a graph's Python objects few.
-        n = n_nodes
-        node = list(range(n)).__getitem__
-        wts = self.edge_weight.tolist()
-        self.out_nbrs, self.out_wts = _split(
-            n, self.edge_src, list(map(node, self.edge_dst.tolist())), wts
-        )
-        by_dst = np.argsort(self.edge_dst, kind="stable")
-        self.in_nbrs, self.in_wts = _split(
-            n,
-            self.edge_dst[by_dst],
-            list(map(node, self.edge_src[by_dst].tolist())),
-            list(map(wts.__getitem__, by_dst.tolist())),
-        )
-        pairs = np.sort(np.concatenate([self.edge_src * n + self.edge_dst,
-                                        self.edge_dst * n + self.edge_src]))
-        pairs = pairs[np.diff(pairs, prepend=-1) != 0]  # faster than np.unique
-        (self.adj_nbrs,) = _split(n, pairs // n, list(map(node, (pairs % n).tolist())))
-        self.out_strength = _sums(self.edge_src, self.edge_weight, n).tolist()
-        self.in_strength = _sums(self.edge_dst, self.edge_weight, n).tolist()
+        self.out_strength = _sums(self.edge_src, self.edge_weight, n_nodes).tolist()
+        self.in_strength = _sums(self.edge_dst, self.edge_weight, n_nodes).tolist()
         self.labels = labels
         self.meta = dict(meta) if meta else {}
         self._label_to_id = label_to_id
         self._check_consistency()
+        self._make_row_maps()
+
+    def _make_row_maps(self):
+        (self.out_nbrs, self.out_wts, self.in_nbrs, self.in_wts,
+         self.adj_nbrs) = _row_maps(self.n_nodes, self.edge_src, self.edge_dst,
+                                    self.edge_weight)
+
+    def __getstate__(self):
+        return {k: getattr(self, k) for k in self.__slots__ if k not in _ROW_MAPS}
+
+    def __setstate__(self, state):
+        for k, v in state.items():
+            setattr(self, k, v)
+        self._make_row_maps()
 
     def _check_consistency(self):
         total_out = sum(self.out_strength)
@@ -200,11 +200,43 @@ def _sums(index, weight, n) -> np.ndarray:
     return np.bincount(index, weights=weight, minlength=n).astype(np.float64)
 
 
-def _split(n, owner, *columns) -> list[list[list]]:
-    """Each list in ``columns`` cut into ``n`` lists, one per run of node
-    ``0 .. n-1`` in the sorted array ``owner``."""
-    runs = np.searchsorted(owner, np.arange(n + 1)).tolist()
-    return [[col[a:b] for a, b in zip(runs, runs[1:])] for col in columns]
+_ROW_MAPS = ("out_nbrs", "out_wts", "in_nbrs", "in_wts", "adj_nbrs")
+
+
+class _Rows(dict):
+    """Node id -> row, cut by ``make(u)`` the first time u is read."""
+
+    __slots__ = ("make",)
+
+    def __init__(self, make):
+        self.make = make
+
+    def __missing__(self, u):
+        if u < 0:
+            raise IndexError(f"node {u} out of range")
+        row = self[u] = self.make(u)
+        return row
+
+
+def _row_maps(n, src, dst, weight):
+    """``out_nbrs, out_wts, in_nbrs, in_wts, adj_nbrs`` of a graph whose edge
+    columns are sorted by (src, dst).  A stable sort by dst orders the edges
+    by (dst, src), so in-neighbours come out sorted too.  No maker holds its
+    own map or the graph, so a dropped graph leaves no reference cycle."""
+    by_dst = np.argsort(dst, kind="stable")
+    ends = np.arange(n + 1)
+    out_at, in_at = np.searchsorted(src, ends), np.searchsorted(dst[by_dst], ends)
+    node = list(range(n)).__getitem__  # one int object per node
+    floats = _Rows(lambda _: weight.tolist())  # floats[0]: one float per edge
+
+    def in_edges(u):
+        return by_dst[in_at[u]:in_at[u + 1]]
+
+    out_nbrs = _Rows(lambda u: list(map(node, dst[out_at[u]:out_at[u + 1]].tolist())))
+    in_nbrs = _Rows(lambda u: list(map(node, src[in_edges(u)].tolist())))
+    in_wts = _Rows(lambda u: list(map(floats[0].__getitem__, in_edges(u).tolist())))
+    return (out_nbrs, _Rows(lambda u: floats[0][out_at[u]:out_at[u + 1]]), in_nbrs,
+            in_wts, _Rows(lambda u: sorted(set(out_nbrs[u]) | set(in_nbrs[u]))))
 
 
 def load_edge_list(path, directed: bool = True) -> DirectedGraph:

@@ -202,18 +202,21 @@ def run_chain(
     # cov[v] counts members adjacent to v.  to_s[v] and from_s[v] are the
     # weights from v into S and from S into v, so a proposal costs O(1) and
     # only an accepted move walks its node's neighbours, in O(degree).
+    # rows[u] caches u's graph rows once the chain starts from or moves u.
     pool = _IndexedSet(n)
     cov = [0] * n
     to_s = [0.0] * n
     from_s = [0.0] * n
+    rows = [None] * n
     adj = g.adj_nbrs
     in_set = state.in_set
     for u in state.members:
+        row = rows[u] = _rows_of(g, u)
         pool.add(u)
-        for v in adj[u]:
+        for v in row[0]:
             cov[v] += 1
             pool.add(v)
-        _shift_weights(g, u, 1.0, to_s, from_s)
+        _shift_weights(row, 1.0, to_s, from_s)
 
     next_uniform = _uniforms(rng).__next__
     c = config.c
@@ -281,19 +284,22 @@ def run_chain(
             memo.clear()
             state.apply_move(u, direction, new_counts)
             w_cur = w_new
+            row = rows[u]
+            if row is None:
+                row = rows[u] = _rows_of(g, u)
             if direction == "add":
-                for v in adj[u]:
+                for v in row[0]:
                     if cov[v] == 0 and not in_set[v]:
                         pool.add(v)
                     cov[v] += 1
             else:
-                for v in adj[u]:
+                for v in row[0]:
                     cov[v] -= 1
                     if cov[v] == 0 and not in_set[v]:
                         pool.discard(v)
                 if cov[u] == 0:
                     pool.discard(u)
-            _shift_weights(g, u, 1.0 if direction == "add" else -1.0, to_s, from_s)
+            _shift_weights(row, 1.0 if direction == "add" else -1.0, to_s, from_s)
             if w_cur > best_w:
                 best_w = w_cur
                 best_members = frozenset(state.members)
@@ -322,11 +328,18 @@ def _uniforms(rng):
         yield from rng.random(_RNG_BLOCK).tolist()
 
 
-def _shift_weights(g, u, sign, to_s, from_s):
-    """Move u's edges into (sign 1.0) or out of (-1.0) ``to_s`` and ``from_s``."""
-    for v, w in zip(g.in_nbrs[u], g.in_wts[u]):
+def _rows_of(g, u):
+    """``(adj_nbrs, in_nbrs, in_wts, out_nbrs, out_wts)`` rows of node u."""
+    return g.adj_nbrs[u], g.in_nbrs[u], g.in_wts[u], g.out_nbrs[u], g.out_wts[u]
+
+
+def _shift_weights(row, sign, to_s, from_s):
+    """Move the edges of a node's ``row`` (from :func:`_rows_of`) into
+    (sign 1.0) or out of (-1.0) ``to_s`` and ``from_s``."""
+    _, in_nbrs, in_wts, out_nbrs, out_wts = row
+    for v, w in zip(in_nbrs, in_wts):
         to_s[v] += sign * w
-    for v, w in zip(g.out_nbrs[u], g.out_wts[u]):
+    for v, w in zip(out_nbrs, out_wts):
         from_s[v] += sign * w
 
 

@@ -1,3 +1,6 @@
+import gc
+import pickle
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -8,10 +11,14 @@ from dcex import (
     EdgeListParseError,
     GraphValidationError,
     load_edge_list,
+    randomize,
+    run_chain,
     save_edge_list,
     subgraph_complement,
     symmetrize,
 )
+from dcex.criterion import CriterionParams
+from dcex.sampler import ChainConfig
 
 from helpers import (
     assert_graph_equals_reference,
@@ -253,6 +260,111 @@ class TestSubgraphComplement:
         assert kept == [0, 1, 3]
         assert sub.labels == ("a", "b", "d")
         assert edge_multiset(sub) == {(0, 1): 1.0, (1, 2): 2.0, (2, 0): 1.0}
+
+
+ROW_MAPS = ("out_nbrs", "out_wts", "in_nbrs", "in_wts", "adj_nbrs")
+
+
+def made_rows(g) -> dict:
+    """Row map name -> the nodes whose rows have been made."""
+    return {name: set(getattr(g, name)) for name in ROW_MAPS}
+
+
+def all_rows(g) -> dict:
+    return {name: [getattr(g, name)[u] for u in range(g.n_nodes)]
+            for name in ROW_MAPS}
+
+
+def sparse_graph(n, edges_per_node, seed):
+    rng = np.random.default_rng(seed)
+    src = rng.integers(0, n, size=n * edges_per_node)
+    dst = rng.integers(0, n, size=n * edges_per_node)
+    keep = src != dst
+    return DirectedGraph.from_arrays(n, src[keep], dst[keep],
+                                     rng.uniform(0.5, 2.0, size=keep.sum()))
+
+
+class TestRowsOnFirstRead:
+    def test_randomize_reads_no_row(self):
+        g = directed_gnp(200, 0.05, seed=0, float_weights=True)
+        for model in ("same_edge_count", "degree_preserving"):
+            null = randomize(g, model, 3)
+            assert made_rows(null) == dict.fromkeys(ROW_MAPS, set())
+        assert made_rows(g) == dict.fromkeys(ROW_MAPS, set())
+
+    def test_chain_makes_rows_only_for_nodes_it_moves_or_reports(self):
+        g = sparse_graph(2000, 3, seed=4)
+        init = int(g.edge_src[0])
+        moved = set()
+
+        def observer(event, state):
+            if event.accepted:
+                moved.add(event.node)
+
+        result = run_chain(
+            g, CriterionParams(rho=0.8, n=5.0),
+            ChainConfig(c=0.05, seed=1, max_steps=20000, patience=20000,
+                        init_members=(init,)),
+            observer=observer,
+        )
+        assert result.steps_run == 20000 and len(moved) > 1
+        touched = {init} | moved | result.best_state.members
+        assert made_rows(g) == dict.fromkeys(ROW_MAPS, touched)
+        assert len(touched) < g.n_nodes // 10
+
+    def test_rows_share_node_ints_and_edge_floats(self):
+        g = directed_gnp(30, 0.2, seed=2, float_weights=True)
+        node = {}
+        weight = {}
+        for u in range(g.n_nodes):
+            for v, w in zip(g.out_nbrs[u], g.out_wts[u]):
+                weight[(u, v)] = w
+            for v in g.out_nbrs[u] + g.in_nbrs[u] + g.adj_nbrs[u]:
+                assert node.setdefault(v, v) is v
+        for v in range(g.n_nodes):
+            for u, w in zip(g.in_nbrs[v], g.in_wts[v]):
+                assert weight[(u, v)] is w
+
+    @pytest.mark.parametrize("u", [-1, 10])
+    def test_node_out_of_range_is_rejected(self, u):
+        g = directed_gnp(10, 0.3, seed=0)
+        for name in ROW_MAPS:
+            with pytest.raises(IndexError):
+                getattr(g, name)[u]
+        assert made_rows(g) == dict.fromkeys(ROW_MAPS, set())
+
+    def test_dropped_graph_leaves_no_cyclic_garbage(self):
+        gc.collect()
+        gc.disable()
+        try:
+            g = directed_gnp(40, 0.1, seed=5, float_weights=True)
+            all_rows(g)
+            pickle.loads(pickle.dumps(g))
+            del g
+            assert gc.collect() == 0
+        finally:
+            gc.enable()
+
+    @pytest.mark.parametrize("read_first", [(), (0, 3, 7)])
+    def test_pickle_round_trip_keeps_every_row(self, read_first):
+        base = directed_gnp(12, 0.3, seed=6, float_weights=True)
+        g = DirectedGraph.from_arrays(
+            12, base.edge_src, base.edge_dst, base.edge_weight,
+            labels=[f"n{u}" for u in range(12)], meta={"kind": "test"},
+        )
+        for u in read_first:
+            for name in ROW_MAPS:
+                getattr(g, name)[u]
+        copy = pickle.loads(pickle.dumps(g))
+        assert made_rows(copy) == dict.fromkeys(ROW_MAPS, set())
+        assert all_rows(copy) == all_rows(g)
+        for name in ("edge_src", "edge_dst", "edge_weight"):
+            assert np.array_equal(getattr(copy, name), getattr(g, name))
+        assert (copy.n_nodes, copy.edge_count, copy.total_weight, copy.labels,
+                copy.meta, copy.out_strength, copy.in_strength) == (
+            g.n_nodes, g.edge_count, g.total_weight, g.labels, g.meta,
+            g.out_strength, g.in_strength)
+        assert copy.id_of("n5") == 5
 
 
 class TestRoundTrip:

@@ -1,10 +1,11 @@
-"""Pinned outputs: sha256 digests of chain event streams, of a short
-``dcex extract`` run and of degree-preserving null graphs.
+"""Pinned outputs: sha256 digests of chain event streams, of short
+``dcex extract`` runs and of degree-preserving null graphs.
 
 The digests were recorded before the chain learned to reuse a proposal's
-outcome while its state is unchanged, and before the swap loop keyed its
-edge set by ints; any change to the events, the RNG stream, the reports or
-the null graphs shows here.
+outcome while its state is unchanged, before the swap loop keyed its edge
+set by ints, and (the 2000-node reports) before graphs made their adjacency
+rows on first read; any change to the events, the RNG stream, the reports
+or the null graphs shows here.
 """
 
 import hashlib
@@ -15,7 +16,9 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from dcex import DirectedGraph, randomize, run_chain, symmetrize
+from dcex import (DirectedGraph, generate_benchmark, randomize, run_chain,
+                  save_edge_list, symmetrize)
+from dcex.benchmark import BenchmarkSpec
 from dcex.cli import main
 from dcex.criterion import CriterionParams
 from dcex.sampler import ChainConfig
@@ -71,6 +74,15 @@ EXTRACT_TRACE_DIGEST = (
     "040864b37fc4873c83618fa1b88b616c532a9a99a45d5c6236578bfa4cf81003"
 )
 
+# One round on a 2000-node planted graph, at the large-graph benchmark's
+# settings scaled down; its chains read the rows of few nodes.
+PLANTED_REPORT_DIGESTS = {
+    "same_edge_count":
+        "7774cdb068cf4e17caf4d7760b87750deb0d97f14b6b6777888ce7685fa20844",
+    "degree_preserving":
+        "bc76e14db2de27263485cc56dc2f4d1e90e6a7e7b199e3a509455b7cadf2abc6",
+}
+
 NULL_GRAPH_DIGESTS = {
     "gnp_seed_0": "a10e9e7b4356efbef506ea4ed266f4c80c1e407b758a148db7db1bac5a63f082",
     "gnp_seed_1": "019a71295cc574bb464031ef083fe12fa826988c2ab62812f72f9156c94e451f",
@@ -103,6 +115,20 @@ def extract_digests(tmp_path):
                  "--out", str(out), "--trace", str(trace)]) == 0
     return (hashlib.sha256(out.read_bytes()).hexdigest(),
             hashlib.sha256(trace.read_bytes()).hexdigest())
+
+
+def planted_report_digest(tmp_path, null_model):
+    """sha256 of the report of ``dcex extract`` on a 2000-node planted graph."""
+    g, _ = generate_benchmark(BenchmarkSpec(n1=40, n2=50, n0=1910, p1=0.7,
+                                            p2=0.005, seed=7))
+    graph, out = tmp_path / "planted.edgelist", tmp_path / "report.json"
+    save_edge_list(g, graph)
+    assert main(["extract", "--graph", str(graph), "--rho", "0.8", "--n", "5",
+                 "--c", "0.05", "--restarts", "2", "--max-steps", "2000",
+                 "--patience", "2000", "--null-model", null_model,
+                 "--null-replicates", "9", "--significance-quantile", "0.85",
+                 "--max-communities", "1", "--out", str(out)]) == 0
+    return hashlib.sha256(out.read_bytes()).hexdigest()
 
 
 def rigid_graph():
@@ -142,6 +168,12 @@ def test_chain_event_stream_is_pinned(case):
 
 def test_extract_report_and_trace_are_pinned(tmp_path):
     assert extract_digests(tmp_path) == (EXTRACT_REPORT_DIGEST, EXTRACT_TRACE_DIGEST)
+
+
+@pytest.mark.parametrize("null_model", sorted(PLANTED_REPORT_DIGESTS))
+def test_planted_extract_report_is_pinned(tmp_path, null_model):
+    assert (planted_report_digest(tmp_path, null_model)
+            == PLANTED_REPORT_DIGESTS[null_model])
 
 
 @pytest.mark.parametrize("name", sorted(NULL_GRAPH_CASES))
