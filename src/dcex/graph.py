@@ -36,9 +36,12 @@ class DirectedGraph:
     ``DirectedGraph(n_nodes, edges)`` takes ``(src, dst, weight)`` triples;
     :meth:`from_arrays` takes the columns.
 
-    The rows ``out_nbrs[u]``, ``out_wts[u]``, ``in_nbrs[u]``, ``in_wts[u]``
-    and ``adj_nbrs[u]`` (neighbours either way) are plain lists, made on the
-    first read of node u and kept; they share one int object per node and
+    The rows ``out_nbrs[u]``, ``out_wts[u]``, ``in_nbrs[u]`` and
+    ``in_wts[u]`` are plain lists, made on the first read of node u and kept.
+    ``nbr_rows[u]`` is the merged row ``(nbrs, w_in, w_out)``: ``nbrs`` the
+    sorted neighbours either way, ``w_in[i]`` the weight of ``nbrs[i] -> u``
+    and ``w_out[i]`` that of ``u -> nbrs[i]``, each 0.0 for an absent edge;
+    ``adj_nbrs[u]`` is its ``nbrs``.  Rows share one int object per node and
     one float per edge.  Read rows by node id only: ``len`` and iteration of
     a row map count the rows made so far.  Pickles carry no rows.  Instances
     are immutable and safe to share between concurrent readers.
@@ -56,6 +59,7 @@ class DirectedGraph:
         "in_nbrs",
         "in_wts",
         "adj_nbrs",
+        "nbr_rows",
         "out_strength",
         "in_strength",
         "labels",
@@ -128,8 +132,8 @@ class DirectedGraph:
         self._make_row_maps()
 
     def _make_row_maps(self):
-        (self.out_nbrs, self.out_wts, self.in_nbrs, self.in_wts,
-         self.adj_nbrs) = _row_maps(self.n_nodes, self.edge_src, self.edge_dst,
+        (self.out_nbrs, self.out_wts, self.in_nbrs, self.in_wts, self.adj_nbrs,
+         self.nbr_rows) = _row_maps(self.n_nodes, self.edge_src, self.edge_dst,
                                     self.edge_weight)
 
     def __getstate__(self):
@@ -200,7 +204,7 @@ def _sums(index, weight, n) -> np.ndarray:
     return np.bincount(index, weights=weight, minlength=n).astype(np.float64)
 
 
-_ROW_MAPS = ("out_nbrs", "out_wts", "in_nbrs", "in_wts", "adj_nbrs")
+_ROW_MAPS = ("out_nbrs", "out_wts", "in_nbrs", "in_wts", "adj_nbrs", "nbr_rows")
 
 
 class _Rows(dict):
@@ -219,10 +223,10 @@ class _Rows(dict):
 
 
 def _row_maps(n, src, dst, weight):
-    """``out_nbrs, out_wts, in_nbrs, in_wts, adj_nbrs`` of a graph whose edge
-    columns are sorted by (src, dst).  A stable sort by dst orders the edges
-    by (dst, src), so in-neighbours come out sorted too.  No maker holds its
-    own map or the graph, so a dropped graph leaves no reference cycle."""
+    """The row maps, in ``_ROW_MAPS`` order, of a graph whose edge columns
+    are sorted by (src, dst).  A stable sort by dst orders the edges by (dst,
+    src), so in-neighbours come out sorted too.  No maker holds its own map
+    or the graph, so a dropped graph leaves no reference cycle."""
     by_dst = np.argsort(dst, kind="stable")
     ends = np.arange(n + 1)
     out_at, in_at = np.searchsorted(src, ends), np.searchsorted(dst[by_dst], ends)
@@ -232,11 +236,33 @@ def _row_maps(n, src, dst, weight):
     def in_edges(u):
         return by_dst[in_at[u]:in_at[u + 1]]
 
-    out_nbrs = _Rows(lambda u: list(map(node, dst[out_at[u]:out_at[u + 1]].tolist())))
-    in_nbrs = _Rows(lambda u: list(map(node, src[in_edges(u)].tolist())))
-    in_wts = _Rows(lambda u: list(map(floats[0].__getitem__, in_edges(u).tolist())))
-    return (out_nbrs, _Rows(lambda u: floats[0][out_at[u]:out_at[u + 1]]), in_nbrs,
-            in_wts, _Rows(lambda u: sorted(set(out_nbrs[u]) | set(in_nbrs[u]))))
+    def nbr_row(u):
+        # Merge the sorted out- and in-neighbours, each list ended by n; a
+        # neighbour both ways takes one step in each list.
+        edges_in = in_edges(u)  # an IndexError past the last node
+        o, o_end = out_at[u:u + 2].tolist()
+        outs, srcs = dst[o:o_end].tolist() + [n], src[edges_in].tolist() + [n]
+        ins = edges_in.tolist()
+        ws = floats[0]
+        nbrs, w_in, w_out = [], [], []
+        i = j = 0
+        while True:
+            a, b = outs[i], srcs[j]
+            v = a if a < b else b
+            if v == n:
+                return nbrs, w_in, w_out
+            nbrs.append(node(v))
+            w_in.append(ws[ins[j]] if b == v else 0.0)
+            w_out.append(ws[o + i] if a == v else 0.0)
+            i += a == v
+            j += b == v
+
+    nbr_rows = _Rows(nbr_row)
+    return (_Rows(lambda u: list(map(node, dst[out_at[u]:out_at[u + 1]].tolist()))),
+            _Rows(lambda u: floats[0][out_at[u]:out_at[u + 1]]),
+            _Rows(lambda u: list(map(node, src[in_edges(u)].tolist()))),
+            _Rows(lambda u: list(map(floats[0].__getitem__, in_edges(u).tolist()))),
+            _Rows(lambda u: nbr_rows[u][0]), nbr_rows)
 
 
 def load_edge_list(path, directed: bool = True) -> DirectedGraph:

@@ -13,7 +13,7 @@ reachable state space.
 
 Each node keeps its edge weight to and from S, so a proposal costs O(1), and
 a proposal repeated from an unchanged subset is one lookup.  An accepted move
-costs O(degree) and clears that memo of outcomes.
+walks the moved node's merged neighbour row once and clears that memo.
 """
 
 from __future__ import annotations
@@ -152,7 +152,7 @@ def run_chain(
 
     A proposal repeated from an unchanged subset is a lookup of its delta, log
     ratio and acceptance bar (it still draws its own uniform); an accepted
-    move costs O(degree) and clears that memo.
+    move walks its node's merged row once, in O(degree), and clears that memo.
     """
     n = g.n_nodes
     if n < 2:
@@ -200,23 +200,22 @@ def run_chain(
 
     # Proposal pool: S plus every node adjacent to S (either direction);
     # cov[v] counts members adjacent to v.  to_s[v] and from_s[v] are the
-    # weights from v into S and from S into v, so a proposal costs O(1) and
-    # only an accepted move walks its node's neighbours, in O(degree).
-    # rows[u] caches u's graph rows once the chain starts from or moves u.
+    # weights from v into S and from S into v, so a proposal costs O(1).
+    # Starting from u or moving it walks u's merged row once: each neighbour
+    # v with the weights a of v -> u and b of u -> v (0.0 where no edge is).
     pool = _IndexedSet(n)
     cov = [0] * n
     to_s = [0.0] * n
     from_s = [0.0] * n
-    rows = [None] * n
-    adj = g.adj_nbrs
+    rows = g.nbr_rows
     in_set = state.in_set
     for u in state.members:
-        row = rows[u] = _rows_of(g, u)
         pool.add(u)
-        for v in row[0]:
+        for v, a, b in zip(*rows[u]):
             cov[v] += 1
             pool.add(v)
-        _shift_weights(row, 1.0, to_s, from_s)
+            to_s[v] += a
+            from_s[v] += b
 
     next_uniform = _uniforms(rng).__next__
     c = config.c
@@ -267,7 +266,7 @@ def run_chain(
                 log_ratio = c * delta
                 if hastings:
                     log_ratio += log(pool_len / _pool_size_after(
-                        u, direction, pool_len, cov, in_set, adj))
+                        u, direction, pool_len, cov, in_set, rows[u][0]))
                 # The acceptance bar; None when the move is accepted outright.
                 bar = None if log_ratio >= 0 else exp(log_ratio)
             memo[u] = (direction, new_counts, w_new, delta, log_ratio, bar)
@@ -284,22 +283,22 @@ def run_chain(
             memo.clear()
             state.apply_move(u, direction, new_counts)
             w_cur = w_new
-            row = rows[u]
-            if row is None:
-                row = rows[u] = _rows_of(g, u)
             if direction == "add":
-                for v in row[0]:
+                for v, a, b in zip(*rows[u]):
                     if cov[v] == 0 and not in_set[v]:
                         pool.add(v)
                     cov[v] += 1
+                    to_s[v] += a
+                    from_s[v] += b
             else:
-                for v in row[0]:
+                for v, a, b in zip(*rows[u]):
                     cov[v] -= 1
                     if cov[v] == 0 and not in_set[v]:
                         pool.discard(v)
+                    to_s[v] -= a
+                    from_s[v] -= b
                 if cov[u] == 0:
                     pool.discard(u)
-            _shift_weights(row, 1.0 if direction == "add" else -1.0, to_s, from_s)
             if w_cur > best_w:
                 best_w = w_cur
                 best_members = frozenset(state.members)
@@ -328,30 +327,15 @@ def _uniforms(rng):
         yield from rng.random(_RNG_BLOCK).tolist()
 
 
-def _rows_of(g, u):
-    """``(adj_nbrs, in_nbrs, in_wts, out_nbrs, out_wts)`` rows of node u."""
-    return g.adj_nbrs[u], g.in_nbrs[u], g.in_wts[u], g.out_nbrs[u], g.out_wts[u]
-
-
-def _shift_weights(row, sign, to_s, from_s):
-    """Move the edges of a node's ``row`` (from :func:`_rows_of`) into
-    (sign 1.0) or out of (-1.0) ``to_s`` and ``from_s``."""
-    _, in_nbrs, in_wts, out_nbrs, out_wts = row
-    for v, w in zip(in_nbrs, in_wts):
-        to_s[v] += sign * w
-    for v, w in zip(out_nbrs, out_wts):
-        from_s[v] += sign * w
-
-
-def _pool_size_after(u, direction, pool_len, cov, in_set, adj):
-    """Size of the proposal pool if the move were applied (for the correction)."""
+def _pool_size_after(u, direction, pool_len, cov, in_set, nbrs):
+    """Size of the proposal pool if u's move were applied (for the correction)."""
     size = pool_len
     if direction == "add":
-        for v in adj[u]:
+        for v in nbrs:
             if cov[v] == 0 and not in_set[v]:
                 size += 1
     else:
-        for v in adj[u]:
+        for v in nbrs:
             if cov[v] == 1 and not in_set[v] and v != u:
                 size -= 1
         if cov[u] == 0:

@@ -215,6 +215,7 @@ def reference_graph(n_nodes: int, edges) -> dict:
         out_wts[s].append(w)
         in_nbrs[d].append(s)
         in_wts[d].append(w)
+    adj_nbrs = [sorted(set(out_nbrs[u]) | set(in_nbrs[u])) for u in range(n_nodes)]
     return {
         "edge_src": np.array([s for (s, _), _ in items], dtype=np.int64),
         "edge_dst": np.array([d for (_, d), _ in items], dtype=np.int64),
@@ -223,8 +224,10 @@ def reference_graph(n_nodes: int, edges) -> dict:
         "out_wts": out_wts,
         "in_nbrs": in_nbrs,
         "in_wts": in_wts,
-        "adj_nbrs": [sorted(set(out_nbrs[u]) | set(in_nbrs[u]))
-                     for u in range(n_nodes)],
+        "adj_nbrs": adj_nbrs,
+        "nbr_rows": [(nbrs, [merged.get((v, u), 0.0) for v in nbrs],
+                      [merged.get((u, v), 0.0) for v in nbrs])
+                     for u, nbrs in enumerate(adj_nbrs)],
         "out_strength": [float(sum(ws)) for ws in out_wts],
         "in_strength": [float(sum(ws)) for ws in in_wts],
     }
@@ -272,6 +275,8 @@ def assert_graph_equals_reference(g: DirectedGraph, ref: dict) -> None:
 def _typed(value):
     if isinstance(value, list):
         return [_typed(v) for v in value]
+    if isinstance(value, tuple):
+        return tuple, [_typed(v) for v in value]
     return type(value), value
 
 

@@ -3,8 +3,9 @@
 
 The digests were recorded before the chain learned to reuse a proposal's
 outcome while its state is unchanged, before the swap loop keyed its edge
-set by ints, and (the 2000-node reports) before graphs made their adjacency
-rows on first read; any change to the events, the RNG stream, the reports
+set by ints, (the 2000-node reports) before graphs made their adjacency
+rows on first read, and (the UCE report) before an accepted move walked one
+merged neighbour row; any change to the events, the RNG stream, the reports
 or the null graphs shows here.
 """
 
@@ -18,9 +19,11 @@ import pytest
 
 from dcex import (DirectedGraph, generate_benchmark, randomize, run_chain,
                   save_edge_list, symmetrize)
+from dcex.baselines import run_uce
 from dcex.benchmark import BenchmarkSpec
 from dcex.cli import main
 from dcex.criterion import CriterionParams
+from dcex.extraction import ExtractionConfig
 from dcex.sampler import ChainConfig
 
 from helpers import directed_gnp
@@ -83,6 +86,11 @@ PLANTED_REPORT_DIGESTS = {
         "bc76e14db2de27263485cc56dc2f4d1e90e6a7e7b199e3a509455b7cadf2abc6",
 }
 
+# UCE on a planted graph at a low c, where most proposals are accepted.
+UCE_REPORT_DIGEST = (
+    "822efc3ec05def68f22afa492c24d3913fcd736fc5f496601775d9f4347ef0f7"
+)
+
 NULL_GRAPH_DIGESTS = {
     "gnp_seed_0": "a10e9e7b4356efbef506ea4ed266f4c80c1e407b758a148db7db1bac5a63f082",
     "gnp_seed_1": "019a71295cc574bb464031ef083fe12fa826988c2ab62812f72f9156c94e451f",
@@ -131,6 +139,22 @@ def planted_report_digest(tmp_path, null_model):
     return hashlib.sha256(out.read_bytes()).hexdigest()
 
 
+def uce_report_digest(tmp_path):
+    """sha256 of a two-round ``run_uce`` report on a 200-node planted graph."""
+    g, _ = generate_benchmark(BenchmarkSpec(n1=20, n2=25, n0=155, p1=0.7,
+                                            p2=0.05, seed=5))
+    cfg = ExtractionConfig(
+        criterion=CriterionParams(rho=0.8, n=5.0),
+        chain=ChainConfig(c=0.01, max_steps=4000, patience=4000, seed=5),
+        restarts=2,
+        max_communities=2,
+        null_replicates=0,
+    )
+    out = tmp_path / "uce.json"
+    run_uce(g, cfg).save_json(out)
+    return hashlib.sha256(out.read_bytes()).hexdigest()
+
+
 def rigid_graph():
     """Complete digraph on 6 nodes less two edges: few swaps exist, so the
     attempt budget runs out before the swap target is met."""
@@ -174,6 +198,10 @@ def test_extract_report_and_trace_are_pinned(tmp_path):
 def test_planted_extract_report_is_pinned(tmp_path, null_model):
     assert (planted_report_digest(tmp_path, null_model)
             == PLANTED_REPORT_DIGESTS[null_model])
+
+
+def test_uce_report_is_pinned(tmp_path):
+    assert uce_report_digest(tmp_path) == UCE_REPORT_DIGEST
 
 
 @pytest.mark.parametrize("name", sorted(NULL_GRAPH_CASES))

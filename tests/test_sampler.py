@@ -252,7 +252,12 @@ class ReferenceDeltas:
 
 
 class TestIncrementalCounts:
-    @pytest.mark.parametrize("hastings", [False, True])
+    @pytest.mark.parametrize("hastings, mode", [
+        pytest.param(False, "directed", id="False"),
+        pytest.param(True, "directed", id="True"),
+        pytest.param(False, "undirected", id="undirected-False"),
+        pytest.param(True, "undirected", id="undirected-True"),
+    ])
     @settings(max_examples=10, deadline=None, derandomize=True)
     @given(
         g=float_weighted_graphs(),
@@ -261,9 +266,16 @@ class TestIncrementalCounts:
         seed=st.integers(0, 2**32 - 1),
     )
     def test_counts_match_from_scratch_at_every_step(
-        self, hastings, g, c, penalty, seed
+        self, hastings, mode, g, c, penalty, seed
     ):
-        params = CriterionParams(rho=0.8, n=penalty)
+        if mode == "undirected":
+            # UCE's regime: on a symmetrized graph the weights to and from
+            # each neighbour are equal, and at c=0.01, with weights scaled
+            # into [1e-4, 1], most moves are accepted.
+            g = symmetrize(DirectedGraph.from_arrays(
+                g.n_nodes, g.edge_src, g.edge_dst, g.edge_weight / 100))
+            c = 0.01
+        params = CriterionParams(rho=0.8, n=penalty, mode=mode)
         # Counts are sums of edge weights, so the graph's total weight is
         # their natural scale; a count that is 0 from scratch may carry
         # rounding residue incrementally.
@@ -286,6 +298,8 @@ class TestIncrementalCounts:
         r = run_chain(g, params, cfg, observer=check)
         assert r.steps_run == 5000
         assert checked == list(range(1, 5001))
+        if mode == "undirected":
+            assert r.acceptance_rate > 0.4
 
 
 class TestReferenceDeltas:
