@@ -77,7 +77,7 @@ def run_dmm(g: DirectedGraph, config: DmmConfig = DmmConfig()) -> PartitionLabel
 def _split_part(g, part, refinement_passes):
     """Candidate bisection of ``part``: (side_a, side_b, Q gain) or None.
 
-    The part's edges and adjacency lists are those of its induced subgraph,
+    The part's edges and neighbour rows are those of its induced subgraph,
     built by :func:`subgraph_complement`; the degrees and ``m`` stay the
     whole graph's, as Q is the whole graph's modularity.
     """
@@ -159,8 +159,9 @@ def _refine_split(sub, side, k_in, k_out, m, passes):
     ``sub`` is the part's induced subgraph and ``side`` a boolean array over
     its nodes (True = side A); ``k_in`` and ``k_out`` are their degrees in
     the whole graph of weight ``m``.  A move's delta walks the node's
-    adjacency lists in ``sub``, in O(degree).  No move empties a side, and
-    Q is monotone non-decreasing across passes by construction.
+    neighbour row in ``sub`` twice, summing its out-weights and then its
+    in-weights, in O(degree).  No move empties a side, and Q is monotone
+    non-decreasing across passes by construction.
     """
     kin_side = [float(k_in[~side].sum()), float(k_in[side].sum())]
     kout_side = [float(k_out[~side].sum()), float(k_out[side].sum())]
@@ -176,8 +177,8 @@ def _refine_split(sub, side, k_in, k_out, m, passes):
                 continue  # never empty a side
             w_to_cur = 0.0
             w_to_oth = 0.0
-            for nbrs, wts in ((sub.out_nbrs[i], sub.out_wts[i]),
-                              (sub.in_nbrs[i], sub.in_wts[i])):
+            nbrs, w_in, w_out = sub.nbr_rows[i]
+            for wts in (w_out, w_in):  # not one pass of a + b: sums round
                 for j, w in zip(nbrs, wts):
                     if side[j] == cur:
                         w_to_cur += w

@@ -164,14 +164,12 @@ class CommunityState:
         b_out = 0.0
         b_in = 0.0
         for u in sorted(mset):
-            for v, w in zip(g.out_nbrs[u], g.out_wts[u]):
+            for v, a, b in zip(*g.nbr_rows[u]):  # a: v -> u, b: u -> v
                 if in_set[v]:
-                    o_s += w
+                    o_s += b
                 else:
-                    b_out += w
-            for v, w in zip(g.in_nbrs[u], g.in_wts[u]):
-                if not in_set[v]:
-                    b_in += w
+                    b_out += b
+                    b_in += a
         return cls(mset, in_set, len(mset), o_s, b_in, b_out)
 
     def counts(self) -> tuple[float, float, float, int]:
@@ -250,13 +248,11 @@ def move_delta(g, state: CommunityState, u: int, direction: str, params):
         raise ValueError(f"direction must be 'add' or 'remove', got {direction!r}")
 
     w_u_to_s = 0.0
-    for v, w in zip(g.out_nbrs[u], g.out_wts[u]):
-        if in_set[v]:
-            w_u_to_s += w
     w_s_to_u = 0.0
-    for v, w in zip(g.in_nbrs[u], g.in_wts[u]):
+    for v, a, b in zip(*g.nbr_rows[u]):  # a: v -> u, b: u -> v
         if in_set[v]:
-            w_s_to_u += w
+            w_u_to_s += b
+            w_s_to_u += a
     counts = counts_after_move(state, direction, g.out_strength[u],
                                g.in_strength[u], w_u_to_s, w_s_to_u)
     value = value_function(g.n_nodes, params)

@@ -83,7 +83,8 @@ def save_membership(assignments: dict, path) -> None:
 
 
 def load_membership(path) -> dict:
-    """Read a ``label community_id`` file into a dict of strings."""
+    """Read a ``label community_id`` file into a dict of strings; a label
+    listed twice is an error."""
     out: dict = {}
     with open(path, "r", encoding="utf-8") as fh:
         for lineno, line in enumerate(fh, start=1):
@@ -95,5 +96,7 @@ def load_membership(path) -> dict:
                 raise ValueError(
                     f"{path}:{lineno}: expected 'label community_id', got {stripped!r}"
                 )
+            if toks[0] in out:
+                raise ValueError(f"{path}:{lineno}: label {toks[0]!r} listed twice")
             out[toks[0]] = toks[1]
     return out

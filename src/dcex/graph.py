@@ -1,6 +1,6 @@
-"""Immutable directed-graph container with dual adjacency and edge-list I/O.
+"""Immutable directed-graph container with merged neighbour rows and edge-list I/O.
 
-Edges are sorted numpy columns; a node's adjacency rows are cut from them on
+Edges are sorted numpy columns; a node's neighbour row is cut from them on
 first read, so a local search pays only for the rows it reads.
 """
 
@@ -36,15 +36,15 @@ class DirectedGraph:
     ``DirectedGraph(n_nodes, edges)`` takes ``(src, dst, weight)`` triples;
     :meth:`from_arrays` takes the columns.
 
-    The rows ``out_nbrs[u]``, ``out_wts[u]``, ``in_nbrs[u]`` and
-    ``in_wts[u]`` are plain lists, made on the first read of node u and kept.
-    ``nbr_rows[u]`` is the merged row ``(nbrs, w_in, w_out)``: ``nbrs`` the
-    sorted neighbours either way, ``w_in[i]`` the weight of ``nbrs[i] -> u``
-    and ``w_out[i]`` that of ``u -> nbrs[i]``, each 0.0 for an absent edge;
-    ``adj_nbrs[u]`` is its ``nbrs``.  Rows share one int object per node and
-    one float per edge.  Read rows by node id only: ``len`` and iteration of
-    a row map count the rows made so far.  Pickles carry no rows.  Instances
-    are immutable and safe to share between concurrent readers.
+    A node's edges are read from one row, ``nbr_rows[u] = (nbrs, w_in,
+    w_out)``, made on the first read of node u and kept: ``nbrs`` the sorted
+    neighbours either way, ``w_in[i]`` the weight of ``nbrs[i] -> u`` and
+    ``w_out[i]`` that of ``u -> nbrs[i]``, each 0.0 for an absent edge.
+    ``adj_nbrs[u]`` is the same ``nbrs`` list.  Rows share one int object
+    per node and one float per edge.  Read rows by node id only: ``len`` and
+    iteration of a row map count the rows made so far.  Pickles carry no
+    rows.  Instances are immutable and safe to share between concurrent
+    readers.
     """
 
     __slots__ = (
@@ -54,10 +54,6 @@ class DirectedGraph:
         "edge_weight",
         "edge_count",
         "total_weight",
-        "out_nbrs",
-        "out_wts",
-        "in_nbrs",
-        "in_wts",
         "adj_nbrs",
         "nbr_rows",
         "out_strength",
@@ -132,9 +128,8 @@ class DirectedGraph:
         self._make_row_maps()
 
     def _make_row_maps(self):
-        (self.out_nbrs, self.out_wts, self.in_nbrs, self.in_wts, self.adj_nbrs,
-         self.nbr_rows) = _row_maps(self.n_nodes, self.edge_src, self.edge_dst,
-                                    self.edge_weight)
+        self.adj_nbrs, self.nbr_rows = _row_maps(
+            self.n_nodes, self.edge_src, self.edge_dst, self.edge_weight)
 
     def __getstate__(self):
         return {k: getattr(self, k) for k in self.__slots__ if k not in _ROW_MAPS}
@@ -204,7 +199,7 @@ def _sums(index, weight, n) -> np.ndarray:
     return np.bincount(index, weights=weight, minlength=n).astype(np.float64)
 
 
-_ROW_MAPS = ("out_nbrs", "out_wts", "in_nbrs", "in_wts", "adj_nbrs", "nbr_rows")
+_ROW_MAPS = ("adj_nbrs", "nbr_rows")
 
 
 class _Rows(dict):
@@ -233,13 +228,10 @@ def _row_maps(n, src, dst, weight):
     node = list(range(n)).__getitem__  # one int object per node
     floats = _Rows(lambda _: weight.tolist())  # floats[0]: one float per edge
 
-    def in_edges(u):
-        return by_dst[in_at[u]:in_at[u + 1]]
-
     def nbr_row(u):
         # Merge the sorted out- and in-neighbours, each list ended by n; a
         # neighbour both ways takes one step in each list.
-        edges_in = in_edges(u)  # an IndexError past the last node
+        edges_in = by_dst[in_at[u]:in_at[u + 1]]  # IndexError past the last node
         o, o_end = out_at[u:u + 2].tolist()
         outs, srcs = dst[o:o_end].tolist() + [n], src[edges_in].tolist() + [n]
         ins = edges_in.tolist()
@@ -258,11 +250,7 @@ def _row_maps(n, src, dst, weight):
             j += b == v
 
     nbr_rows = _Rows(nbr_row)
-    return (_Rows(lambda u: list(map(node, dst[out_at[u]:out_at[u + 1]].tolist()))),
-            _Rows(lambda u: floats[0][out_at[u]:out_at[u + 1]]),
-            _Rows(lambda u: list(map(node, src[in_edges(u)].tolist()))),
-            _Rows(lambda u: list(map(floats[0].__getitem__, in_edges(u).tolist()))),
-            _Rows(lambda u: nbr_rows[u][0]), nbr_rows)
+    return _Rows(lambda u: nbr_rows[u][0]), nbr_rows
 
 
 def load_edge_list(path, directed: bool = True) -> DirectedGraph:

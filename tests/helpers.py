@@ -199,37 +199,32 @@ def reference_graph(n_nodes: int, edges) -> dict:
     """What a DirectedGraph on ``edges`` must hold, built the slow way.
 
     Duplicates are summed through a dict in input order, the pairs sorted,
-    and the adjacency lists and strengths filled edge by edge: the reference
+    and the neighbour rows and strengths filled edge by edge: the reference
     for the array builder.  Keys are the graph's attribute names.
     """
     merged: dict[tuple[int, int], float] = {}
     for s, d, w in edges:
         merged[(s, d)] = merged.get((s, d), 0.0) + w
     items = sorted(merged.items())
-    out_nbrs = [[] for _ in range(n_nodes)]
-    out_wts = [[] for _ in range(n_nodes)]
-    in_nbrs = [[] for _ in range(n_nodes)]
-    in_wts = [[] for _ in range(n_nodes)]
+    out_strength = [0.0] * n_nodes
+    in_strength = [0.0] * n_nodes
+    adj = [set() for _ in range(n_nodes)]
     for (s, d), w in items:
-        out_nbrs[s].append(d)
-        out_wts[s].append(w)
-        in_nbrs[d].append(s)
-        in_wts[d].append(w)
-    adj_nbrs = [sorted(set(out_nbrs[u]) | set(in_nbrs[u])) for u in range(n_nodes)]
+        out_strength[s] += w
+        in_strength[d] += w
+        adj[s].add(d)
+        adj[d].add(s)
+    adj_nbrs = [sorted(nbrs) for nbrs in adj]
     return {
         "edge_src": np.array([s for (s, _), _ in items], dtype=np.int64),
         "edge_dst": np.array([d for (_, d), _ in items], dtype=np.int64),
         "edge_weight": np.array([w for _, w in items], dtype=np.float64),
-        "out_nbrs": out_nbrs,
-        "out_wts": out_wts,
-        "in_nbrs": in_nbrs,
-        "in_wts": in_wts,
         "adj_nbrs": adj_nbrs,
         "nbr_rows": [(nbrs, [merged.get((v, u), 0.0) for v in nbrs],
                       [merged.get((u, v), 0.0) for v in nbrs])
                      for u, nbrs in enumerate(adj_nbrs)],
-        "out_strength": [float(sum(ws)) for ws in out_wts],
-        "in_strength": [float(sum(ws)) for ws in in_wts],
+        "out_strength": out_strength,
+        "in_strength": in_strength,
     }
 
 

@@ -113,6 +113,13 @@ class TestMembershipIO:
         with pytest.raises(ValueError, match=":1:"):
             load_membership(path)
 
+    @pytest.mark.parametrize("second", ["a 2", "a 1"])
+    def test_duplicate_label_rejected(self, tmp_path, second):
+        path = tmp_path / "dup.txt"
+        path.write_text(f"a 1\n# comment\nb 1\n{second}\n")
+        with pytest.raises(ValueError, match=r"dup\.txt:4: label 'a' listed twice"):
+            load_membership(path)
+
     def test_comments_skipped(self, tmp_path):
         path = tmp_path / "ok.txt"
         path.write_text("# comment\na 1\n\n")

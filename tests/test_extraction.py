@@ -133,8 +133,8 @@ class TestRandomizeDegreePreserving:
     def test_degree_sequences_identical(self):
         g = directed_gnp(25, 0.15, seed=6)
         r = randomize(g, NULL_DEGREE_PRESERVING, 7)
-        out_deg = lambda gr: [len(gr.out_nbrs[u]) for u in range(gr.n_nodes)]
-        in_deg = lambda gr: [len(gr.in_nbrs[u]) for u in range(gr.n_nodes)]
+        out_deg = lambda gr: np.bincount(gr.edge_src, minlength=gr.n_nodes).tolist()
+        in_deg = lambda gr: np.bincount(gr.edge_dst, minlength=gr.n_nodes).tolist()
         assert out_deg(r) == out_deg(g)
         assert in_deg(r) == in_deg(g)
 

@@ -94,15 +94,16 @@ class TestLoadEdgeList:
 class TestConstruction:
     def test_out_in_adjacency_describe_same_edges(self):
         g = directed_gnp(25, 0.2, seed=1, max_weight=3)
+        rows = [g.nbr_rows[u] for u in range(g.n_nodes)]
         from_out = {
             (u, v): w
-            for u in range(g.n_nodes)
-            for v, w in zip(g.out_nbrs[u], g.out_wts[u])
+            for u, (nbrs, _, w_out) in enumerate(rows)
+            for v, w in zip(nbrs, w_out) if w
         }
         from_in = {
-            (u, v): w
-            for v in range(g.n_nodes)
-            for u, w in zip(g.in_nbrs[v], g.in_wts[v])
+            (v, u): w
+            for u, (nbrs, w_in, _) in enumerate(rows)
+            for v, w in zip(nbrs, w_in) if w
         }
         assert from_out == from_in == edge_multiset(g)
 
@@ -290,8 +291,7 @@ class TestSubgraphComplement:
         assert edge_multiset(sub) == {(0, 1): 1.0, (1, 2): 2.0, (2, 0): 1.0}
 
 
-ROW_MAPS = ("out_nbrs", "out_wts", "in_nbrs", "in_wts", "adj_nbrs", "nbr_rows")
-IN_OUT_MAPS = ("out_nbrs", "out_wts", "in_nbrs", "in_wts")
+ROW_MAPS = ("adj_nbrs", "nbr_rows")
 
 
 def made_rows(g) -> dict:
@@ -337,31 +337,32 @@ class TestRowsOnFirstRead:
             observer=observer,
         )
         assert result.steps_run == 20000 and len(moved) > 1
-        # The chain walks merged rows only; the in/out rows are read to
-        # count the initial and the reported sets, and adj_nbrs not at all.
+        # The chain walks the rows of the nodes it moves, and counts the
+        # initial and the reported sets from theirs; adj_nbrs is not read.
         walked, counted = {init} | moved, {init} | result.best_state.members
-        assert made_rows(g) == {**dict.fromkeys(IN_OUT_MAPS, counted),
-                                "adj_nbrs": set(), "nbr_rows": walked}
+        assert made_rows(g) == {"adj_nbrs": set(), "nbr_rows": walked | counted}
         assert len(walked | counted) < g.n_nodes // 10
 
     def test_rows_share_node_ints_and_edge_floats(self):
         g = directed_gnp(30, 0.2, seed=2, float_weights=True)
         node = {}
-        weight = {}
+        weight = {}  # (u, v) -> the float object in u's row
         for u in range(g.n_nodes):
-            for v, w in zip(g.out_nbrs[u], g.out_wts[u]):
-                weight[(u, v)] = w
-            for v in g.out_nbrs[u] + g.in_nbrs[u] + g.adj_nbrs[u]:
-                assert node.setdefault(v, v) is v
-        for v in range(g.n_nodes):
-            for u, w in zip(g.in_nbrs[v], g.in_wts[v]):
-                assert weight[(u, v)] is w
-        for u in range(g.n_nodes):
-            nbrs, w_in, w_out = g.nbr_rows[u]
+            nbrs, _, w_out = g.nbr_rows[u]
             assert nbrs is g.adj_nbrs[u]
-            for v, a, b in zip(nbrs, w_in, w_out):
-                assert node[v] is v
-                assert a is weight.get((v, u), a) and b is weight.get((u, v), b)
+            for v, b in zip(nbrs, w_out):
+                assert node.setdefault(v, v) is v
+                if b:
+                    weight[(u, v)] = b
+        assert len(weight) == g.edge_count
+        seen_in = 0
+        for v in range(g.n_nodes):
+            nbrs, w_in, _ = g.nbr_rows[v]
+            for u, a in zip(nbrs, w_in):
+                if a:
+                    assert weight[(u, v)] is a
+                    seen_in += 1
+        assert seen_in == g.edge_count
 
     @pytest.mark.parametrize("u", [-1, 10])
     def test_node_out_of_range_is_rejected(self, u):

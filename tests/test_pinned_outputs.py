@@ -4,9 +4,11 @@
 The digests were recorded before the chain learned to reuse a proposal's
 outcome while its state is unchanged, before the swap loop keyed its edge
 set by ints, (the 2000-node reports) before graphs made their adjacency
-rows on first read, and (the UCE report) before an accepted move walked one
-merged neighbour row; any change to the events, the RNG stream, the reports
-or the null graphs shows here.
+rows on first read, (the UCE report) before an accepted move walked one
+merged neighbour row, and (the subset counts and DMM partitions) before
+every reader took a node's edges from its merged row; any change to the
+events, the RNG stream, the reports, the null graphs, the counts or the
+partitions shows here.
 """
 
 import hashlib
@@ -19,10 +21,10 @@ import pytest
 
 from dcex import (DirectedGraph, generate_benchmark, randomize, run_chain,
                   save_edge_list, symmetrize)
-from dcex.baselines import run_uce
+from dcex.baselines import DmmConfig, run_dmm, run_uce
 from dcex.benchmark import BenchmarkSpec
 from dcex.cli import main
-from dcex.criterion import CriterionParams
+from dcex.criterion import CommunityState, CriterionParams
 from dcex.extraction import ExtractionConfig
 from dcex.sampler import ChainConfig
 
@@ -91,6 +93,15 @@ UCE_REPORT_DIGEST = (
     "822efc3ec05def68f22afa492c24d3913fcd736fc5f496601775d9f4347ef0f7"
 )
 
+# Subset counts and DMM partitions on planted graphs with float weights,
+# whose sums round, so the order of every summation shows.
+FROM_MEMBERS_DIGEST = (
+    "6e2129f2bc87081194029bc1a7350c79a252a241609ba11e0c06dbe04ba03507"
+)
+DMM_PARTITION_DIGEST = (
+    "1b6bf59c3a523a2882685634eb5d7110a102fd21c39d47ed1b0efa731d225cf8"
+)
+
 NULL_GRAPH_DIGESTS = {
     "gnp_seed_0": "a10e9e7b4356efbef506ea4ed266f4c80c1e407b758a148db7db1bac5a63f082",
     "gnp_seed_1": "019a71295cc574bb464031ef083fe12fa826988c2ab62812f72f9156c94e451f",
@@ -155,6 +166,38 @@ def uce_report_digest(tmp_path):
     return hashlib.sha256(out.read_bytes()).hexdigest()
 
 
+def float_planted_graph(seed):
+    """Planted N=500 graph with weights uniform in [0.5, 2]."""
+    g, _ = generate_benchmark(BenchmarkSpec(n1=40, n2=50, n0=410, p1=0.7,
+                                            p2=0.05, seed=seed))
+    weight = np.random.default_rng(seed).uniform(0.5, 2.0, size=g.edge_count)
+    return DirectedGraph.from_arrays(g.n_nodes, g.edge_src, g.edge_dst, weight)
+
+
+def from_members_digest():
+    """sha256 of the counts, as ``float.hex``, of 20 random subsets of each
+    float-weighted planted graph."""
+    lines = []
+    for seed in range(3):
+        g = float_planted_graph(seed)
+        rng = np.random.default_rng(100 + seed)
+        for _ in range(20):
+            size = int(rng.integers(1, g.n_nodes // 2))
+            s = CommunityState.from_members(
+                g, rng.choice(g.n_nodes, size=size, replace=False).tolist())
+            lines.append(" ".join([s.o_s.hex(), s.b_in.hex(), s.b_out.hex(),
+                                   str(s.size)]))
+    return hashlib.sha256("\n".join(lines).encode()).hexdigest()
+
+
+def dmm_partition_digest():
+    """sha256 of the ``run_dmm`` assignments on float-weighted planted graphs."""
+    lines = [repr(sorted(run_dmm(float_planted_graph(seed),
+                                 DmmConfig(target_parts=3)).assignments.items()))
+             for seed in range(3)]
+    return hashlib.sha256("\n".join(lines).encode()).hexdigest()
+
+
 def rigid_graph():
     """Complete digraph on 6 nodes less two edges: few swaps exist, so the
     attempt budget runs out before the swap target is met."""
@@ -202,6 +245,14 @@ def test_planted_extract_report_is_pinned(tmp_path, null_model):
 
 def test_uce_report_is_pinned(tmp_path):
     assert uce_report_digest(tmp_path) == UCE_REPORT_DIGEST
+
+
+def test_from_members_counts_are_pinned():
+    assert from_members_digest() == FROM_MEMBERS_DIGEST
+
+
+def test_dmm_partitions_are_pinned():
+    assert dmm_partition_digest() == DMM_PARTITION_DIGEST
 
 
 @pytest.mark.parametrize("name", sorted(NULL_GRAPH_CASES))
