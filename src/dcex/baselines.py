@@ -4,7 +4,10 @@ UCE runs the extraction machinery on the symmetrized graph with the
 direction coefficient pinned to 1.  DMM partitions the whole network by
 recursive leading-eigenvector bisection of the directed modularity matrix
 B[i, j] = A[i, j] - k_in[i] * k_out[j] / m (symmetrized for the eigen step),
-with greedy single-node refinement after each split.  This DMM is a
+with greedy single-node refinement after each split.  The leading
+eigenvector comes from an explicitly restarted Krylov (Rayleigh-Ritz) solve
+that only applies the part's matrix to vectors, so it never forms the dense
+k-by-k matrix of a k-node part.  This DMM is a
 faithful-in-spirit reimplementation of the classic spectral method; exact
 agreement with other codebases is not claimed.
 """
@@ -20,9 +23,10 @@ from .evaluation import PartitionLabels
 from .extraction import ExtractionConfig, ExtractionReport, extract_all
 from .graph import DirectedGraph, subgraph_complement, symmetrize
 
-_POWER_TOL = 1e-8
-_POWER_MAX_ITERS = 10_000
 _GAIN_TOL = 1e-12
+_KRYLOV_DIM = 40  # basis vectors per Krylov build
+_MAX_BASES = 50  # Krylov builds before the eigen solve gives up
+_EIG_TOL = 1e-10  # residual bound, relative to the operator's norm bound
 
 
 @dataclass(frozen=True)
@@ -38,15 +42,16 @@ class DmmConfig:
 
 
 def run_uce(
-    g: DirectedGraph, config: ExtractionConfig, chain_observer=None
+    g: DirectedGraph, config: ExtractionConfig, jobs: int = 1, chain_observer=None
 ) -> ExtractionReport:
     """Extraction on the symmetrized graph, ignoring link direction.
 
-    ``chain_observer`` is passed to :func:`extract_all`, so it sees the
-    restart chains on the symmetrized graph in undirected mode.
+    ``jobs`` and ``chain_observer`` are passed to :func:`extract_all`, so the
+    report is the same for every ``jobs`` and the observer sees the restart
+    chains on the symmetrized graph in undirected mode.
     """
     cfg = replace(config, criterion=replace(config.criterion, mode=MODE_UNDIRECTED))
-    return extract_all(symmetrize(g), cfg, chain_observer=chain_observer)
+    return extract_all(symmetrize(g), cfg, jobs=jobs, chain_observer=chain_observer)
 
 
 def run_dmm(g: DirectedGraph, config: DmmConfig = DmmConfig()) -> PartitionLabels:
@@ -79,7 +84,10 @@ def _split_part(g, part, refinement_passes):
 
     The part's edges and neighbour rows are those of its induced subgraph,
     built by :func:`subgraph_complement`; the degrees and ``m`` stay the
-    whole graph's, as Q is the whole graph's modularity.
+    whole graph's, as Q is the whole graph's modularity.  The side vector
+    is the sign of the leading eigenvector of the part's symmetrized
+    modularity matrix, from :func:`_leading_eigenvector`, refined by
+    :func:`_refine_split`.
     """
     in_part = np.zeros(g.n_nodes, dtype=bool)
     in_part[part] = True
@@ -106,26 +114,14 @@ def _split_part(g, part, refinement_passes):
         rank = (k_in * (k_out @ x) + k_out * (k_in @ x)) / m
         return ax + atx - rank - row_sum * x
 
-    shift = float(np.max(row_a + col_a + expected + np.abs(row_sum)))
-    if shift <= 0:
+    # Gershgorin bound on the norm of the operator ``matvec`` applies.
+    scale = float(np.max(row_a + col_a + expected + np.abs(row_sum)))
+    if scale <= 0:
         return None
 
-    rng = np.random.default_rng(0xDCE)
-    v = rng.standard_normal(k)
-    v /= np.linalg.norm(v)
-    for _ in range(_POWER_MAX_ITERS):
-        y = matvec(v) + shift * v
-        norm = np.linalg.norm(y)
-        if norm == 0:
-            return None
-        y /= norm
-        if y @ v < 0:
-            y = -y
-        delta = float(np.max(np.abs(y - v)))
-        v = y
-        if delta < _POWER_TOL:
-            break
-    if float(v @ matvec(v)) <= _GAIN_TOL:
+    v0 = np.random.default_rng(0xDCE).standard_normal(k)
+    theta, v = _leading_eigenvector(matvec, v0, scale)
+    if theta <= _GAIN_TOL:
         return None
 
     side = v >= 0  # True = side A
@@ -137,6 +133,57 @@ def _split_part(g, part, refinement_passes):
     if gain <= _GAIN_TOL:
         return None
     return nodes[side].tolist(), nodes[~side].tolist(), gain
+
+
+def _leading_eigenvector(matvec, v0, scale):
+    """(theta, x): the largest eigenvalue of a symmetric operator and its
+    unit eigenvector, oriented so that ``x @ v0 > 0``.
+
+    ``matvec`` applies the operator; ``scale`` bounds its norm.  Each build
+    grows an orthonormal basis of up to ``_KRYLOV_DIM`` vectors from the
+    current vector (full Gram-Schmidt, applied twice), keeps every image,
+    and takes the top eigenpair of the projected matrix.  It stops when
+    ``|A x - theta x| <= _EIG_TOL * scale``, or when the basis closes early:
+    the space is then invariant and the pair exact.  Otherwise the next
+    build starts from ``x``.  Raises RuntimeError when ``_MAX_BASES``
+    builds do not converge.
+    """
+    k = len(v0)
+    dim = min(k, _KRYLOV_DIM)
+    tol = _EIG_TOL * scale
+    basis = np.empty((dim, k))
+    images = np.empty((dim, k))
+    x = v0 / np.linalg.norm(v0)
+    for _ in range(_MAX_BASES):
+        q, size, closed = x, 0, False
+        while True:
+            basis[size] = q
+            images[size] = matvec(q)
+            size += 1
+            if size == dim:
+                closed = dim == k
+                break
+            w = images[size - 1].copy()
+            for _ in range(2):
+                w -= basis[:size].T @ (basis[:size] @ w)
+            norm = np.linalg.norm(w)
+            if norm <= tol:
+                closed = True
+                break
+            q = w / norm
+        q_mat, aq_mat = basis[:size], images[:size]
+        h = q_mat @ aq_mat.T
+        vals, vecs = np.linalg.eigh((h + h.T) / 2)
+        theta, y = float(vals[-1]), vecs[:, -1]
+        x = y @ q_mat
+        residual = float(np.linalg.norm(y @ aq_mat - theta * x))
+        if closed or residual <= tol:
+            return theta, (x if x @ v0 > 0 else -x)
+        x /= np.linalg.norm(x)
+    raise RuntimeError(
+        f"leading eigenvector of a {k}-node part did not converge in "
+        f"{_MAX_BASES} Krylov bases: residual {residual:.3g} > {tol:.3g}"
+    )
 
 
 def _split_gain(sub, side, k_in, k_out, m):

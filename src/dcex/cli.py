@@ -103,6 +103,9 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--patience", type=int, default=None)
     p.add_argument("--parts", type=int, default=3, help="dmm: number of parts")
     p.add_argument("--refinement-passes", type=int, default=10)
+    p.add_argument("--jobs", type=int, default=1,
+                   help="worker processes for the null replicates; the report "
+                        "is the same for every value (dce and uce only)")
     p.add_argument("--trace", default=None,
                    help="write a step,W,accepted,size CSV of round 0's first "
                         "restart chain as the run ran it; header only when no "
@@ -180,6 +183,8 @@ def _cmd_extract(args) -> int:
     t0 = time.perf_counter()
     if args.trace and args.method == "dmm":
         raise ValueError("--trace needs --method dce or uce: dmm runs no chain")
+    if args.jobs < 1:
+        raise ValueError("jobs must be >= 1")
     g = load_edge_list(args.graph, directed=not args.undirected)
     t_load = time.perf_counter() - t0
 
@@ -208,7 +213,8 @@ def _cmd_extract(args) -> int:
             return None
 
         run = extract_all if args.method == "dce" else run_uce
-        report = run(g, config, chain_observer=first_restart if args.trace else None)
+        report = run(g, config, jobs=args.jobs,
+                     chain_observer=first_restart if args.trace else None)
         report.save_json(args.out)
         if args.trace:
             write_trace_csv(events, args.trace)

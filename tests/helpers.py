@@ -13,6 +13,7 @@ from collections import Counter
 import numpy as np
 
 from dcex import DirectedGraph, derive_seed, max_admissible_size
+from dcex.baselines import _leading_eigenvector
 from dcex.criterion import CommunityState, score_from_counts, value_from_counts
 from dcex.extraction import _exceedance_limit, _one_null_score
 
@@ -328,7 +329,9 @@ def reference_dmm(g: DirectedGraph, parts: int, passes: int) -> dict[int, int]:
     It indexes each part with a dict and keeps its own adjacency lists
     instead of calling ``subgraph_complement``, so it checks the library's
     ``run_dmm`` against an independent build of every part.  Its float sums
-    run in the same order, so the assignments must agree exactly.
+    run in the same order, so the assignments must agree exactly.  The
+    eigen step calls the library's ``_leading_eigenvector``, which
+    ``TestLeadingEigenvector`` checks against a dense eigensolver.
     """
     n = g.n_nodes
     split_parts: list[list[int]] = [list(range(n))]
@@ -371,27 +374,14 @@ def _ref_split_part(g, part, passes):
         rank = (k_in * (k_out @ x) + k_out * (k_in @ x)) / m
         return ax + atx - rank - row_sum * x
 
-    shift = float(
+    scale = float(
         np.max(row_a + col_a + (k_in * kout_tot + k_out * kin_tot) / m + np.abs(row_sum))
     )
-    if shift <= 0:
+    if scale <= 0:
         return None
-    rng = np.random.default_rng(0xDCE)
-    v = rng.standard_normal(k)
-    v /= np.linalg.norm(v)
-    for _ in range(10_000):
-        y = matvec(v) + shift * v
-        norm = np.linalg.norm(y)
-        if norm == 0:
-            return None
-        y /= norm
-        if y @ v < 0:
-            y = -y
-        delta = float(np.max(np.abs(y - v)))
-        v = y
-        if delta < 1e-8:
-            break
-    if float(v @ matvec(v)) <= _DMM_TOL:
+    v0 = np.random.default_rng(0xDCE).standard_normal(k)
+    theta, v = _leading_eigenvector(matvec, v0, scale)
+    if theta <= _DMM_TOL:
         return None
     side = v >= 0
     if side.all() or not side.any():

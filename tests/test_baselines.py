@@ -1,10 +1,15 @@
 import itertools
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+import dcex
 from dcex import (
     BenchmarkSpec,
     DirectedGraph,
@@ -12,6 +17,7 @@ from dcex import (
     run_chain,
     symmetrize,
 )
+from dcex import baselines
 from dcex.baselines import DmmConfig, run_dmm, run_uce
 from dcex.criterion import MODE_UNDIRECTED, CommunityState, CriterionParams, score
 from dcex.extraction import ExtractionConfig, extract_all
@@ -240,3 +246,89 @@ class TestDmm:
         # internal = 1; Kin_0*Kout_0 = 1*2, Kin_1*Kout_1 = 1*0 -> exp = 1
         assert directed_modularity(g, split) == pytest.approx(0.0)
         assert directed_modularity(g, {0: 0, 1: 0, 2: 1}) == pytest.approx(0.0)
+
+
+def part_operator(g, nodes):
+    """Dense matrix of the operator DMM takes a part's leading eigenvector
+    of, and the largest absolute row sum, which bounds its norm.
+
+    It is the symmetrized modularity matrix B + B^T of the nodes ``nodes``,
+    with the whole graph's degrees and weight, minus the diagonal of its
+    row sums.
+    """
+    nodes = np.asarray(nodes)
+    a = np.zeros((g.n_nodes, g.n_nodes))
+    np.add.at(a, (g.edge_src, g.edge_dst), g.edge_weight)
+    a = a[np.ix_(nodes, nodes)]
+    k_in = np.asarray(g.in_strength)[nodes]
+    k_out = np.asarray(g.out_strength)[nodes]
+    b = a + a.T - (np.outer(k_in, k_out) + np.outer(k_out, k_in)) / g.total_weight
+    op = b - np.diag(b.sum(axis=1))
+    return op, float(np.abs(op).sum(axis=1).max())
+
+
+class TestLeadingEigenvector:
+    def check_pair(self, op, scale, v0):
+        """Check the top pair of ``op`` solved from ``v0``; return the number
+        of matvecs the solve took."""
+        count = [0]
+
+        def matvec(x):
+            count[0] += 1
+            return op @ x
+
+        theta, x = baselines._leading_eigenvector(matvec, v0, scale)
+        assert theta == pytest.approx(np.linalg.eigvalsh(op)[-1], abs=1e-8 * scale)
+        assert np.linalg.norm(x) == pytest.approx(1.0)
+        # recomputed densely, the residual differs from the solver's by rounding
+        assert np.linalg.norm(op @ x - theta * x) <= 2 * baselines._EIG_TOL * scale
+        assert x @ v0 >= 0
+        return count[0]
+
+    @settings(max_examples=60, deadline=None)
+    @given(dmm_cases(), st.integers(0, 2**32 - 1))
+    def test_small_parts_match_dense_eigensolver(self, case, seed):
+        g = case[0]
+        assume(g.total_weight > 0)
+        rng = np.random.default_rng(seed)
+        size = int(rng.integers(2, min(g.n_nodes, 40) + 1))
+        op, scale = part_operator(g, rng.choice(g.n_nodes, size, replace=False))
+        assume(scale > 0)
+        # a basis of up to 40 vectors spans a part this small: no restart
+        assert self.check_pair(op, scale, rng.standard_normal(size)) <= size
+
+    @pytest.mark.parametrize("seed", [0, 1])
+    def test_restarted_solve_matches_dense_eigensolver(self, seed):
+        for g, restarts in [(directed_gnp(120, 0.05, seed=seed), True),
+                            (generate_benchmark(BenchmarkSpec(
+                                n1=20, n2=20, n0=80, p1=0.7, p2=0.05, seed=seed))[0],
+                             False)]:
+            op, scale = part_operator(g, range(g.n_nodes))
+            v0 = np.random.default_rng(0xDCE).standard_normal(g.n_nodes)
+            # unstructured graphs need more than one basis of 40 vectors
+            assert (self.check_pair(op, scale, v0) > 40) == restarts
+
+    def test_exhausted_budget_raises(self, monkeypatch):
+        op, scale = part_operator(directed_gnp(120, 0.05, seed=0), range(120))
+        monkeypatch.setattr(baselines, "_MAX_BASES", 1)
+        with pytest.raises(RuntimeError, match="120-node part.*residual"):
+            baselines._leading_eigenvector(
+                lambda x: op @ x, np.random.default_rng(0xDCE).standard_normal(120),
+                scale)
+
+    def test_dmm_leaves_scipy_unloaded(self):
+        # scipy.sparse.linalg alone adds about 32 MB of peak RSS.
+        code = (
+            "import sys\n"
+            "import dcex\n"
+            "from dcex.baselines import DmmConfig, run_dmm\n"
+            "g, _ = dcex.generate_benchmark(dcex.BenchmarkSpec(\n"
+            "    n1=40, n2=50, n0=410, p1=0.7, p2=0.05, seed=0))\n"
+            "run_dmm(g, DmmConfig(target_parts=3))\n"
+            "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))\n"
+        )
+        src = str(Path(dcex.__file__).resolve().parent.parent)
+        env = {**os.environ, "PYTHONPATH": src}
+        out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
+                             capture_output=True, text=True, timeout=120)
+        assert out.stdout.strip() == "[]"

@@ -188,6 +188,21 @@ class TestExtractCommand:
                        "--out", tmp_path / "x.json")
         assert code == 2
 
+    @pytest.mark.parametrize("method", ["dce", "uce"])
+    def test_jobs_flag_gives_same_report(self, tmp_path, method):
+        short = {"--method": method, "--null-replicates": 19,
+                 "--max-communities": 1, "--max-steps": 2000, "--patience": 1000}
+        seq, par = tmp_path / "seq.json", tmp_path / "par.json"
+        assert run_cli(*self.extract_args(seq, **short)) == 0
+        assert run_cli(*self.extract_args(par, **short, **{"--jobs": 2})) == 0
+        assert seq.read_bytes() == par.read_bytes()
+
+    def test_zero_jobs_exits_2_before_any_work(self, tmp_path, capsys):
+        out = tmp_path / "r.json"
+        assert run_cli(*self.extract_args(out, **{"--jobs": 0})) == 2
+        assert "jobs must be >= 1" in capsys.readouterr().err
+        assert not out.exists()
+
 
 class TestBenchmarkCommand:
     def test_generates_replicate_files(self, tmp_path):
