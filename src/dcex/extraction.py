@@ -16,6 +16,7 @@ from collections.abc import Iterator
 from concurrent.futures import ProcessPoolExecutor
 from contextlib import closing
 from dataclasses import asdict, dataclass, replace
+from functools import partial
 from statistics import median
 
 import numpy as np
@@ -365,9 +366,9 @@ def _null_graph(residual, model, seed):
     return randomize(residual, model, seed)
 
 
-def _one_null_score(payload) -> float:
+def _one_null_score(residual, config, seeds) -> float:
     """Randomize + chase one null replicate; module-level for pickling."""
-    residual, config, graph_seed, chain_seed = payload
+    graph_seed, chain_seed = seeds
     ng = _null_graph(residual, config.null_model, graph_seed)
     nc = replace(config.chain, seed=chain_seed)
     return run_chain(ng, config.criterion, nc).best_score.value
@@ -390,18 +391,17 @@ def _null_best_scores(
     if limit < 1:
         return None  # not even p = 1/(R+1) would be significant
     fewest = _fewest_nulls_to_reject(config.null_replicates, quantile)
-    payloads = [
+    seeds = [
         (
-            residual,
-            config,
             derive_seed(master, round_idx, _TAG_NULL_GRAPH, i),
             derive_seed(master, round_idx, _TAG_NULL_CHAIN, i),
         )
         for i in range(config.null_replicates)
     ]
+    score = partial(_one_null_score, residual, config)
     scores = []
     exceed = 0
-    with closing(map_jobs(_one_null_score, payloads, jobs)) as results:
+    with closing(map_jobs(score, seeds, jobs)) as results:
         for value in results:
             scores.append(value)
             exceed += value >= observed
@@ -416,10 +416,13 @@ def map_jobs(fn, items: list, jobs: int) -> Iterator:
     Ordered and lazy: results are yielded in input order for every ``jobs``,
     so what is built from them does not depend on it, and a caller that only
     needs a prefix can stop early.  With ``jobs > 1``, ``fn`` and the items
-    must pickle; the workers start at the first ``next`` and are shut down,
-    the pending items cancelled, when the iterator is exhausted, closed or
-    raises.  Wrap it in :func:`contextlib.closing` when it may be left
-    unfinished, so the workers go at once rather than at garbage collection.
+    must pickle; ``fn`` goes to each worker once, when it starts, so what
+    it carries (say a graph bound with :func:`functools.partial`) is not
+    shipped again with every item.  The workers start at the first
+    ``next`` and are shut down, the pending items cancelled, when the
+    iterator is exhausted, closed or raises.  Wrap it in
+    :func:`contextlib.closing` when it may be left unfinished, so the
+    workers go at once rather than at garbage collection.
     """
     if jobs < 1:
         raise ValueError("jobs must be >= 1")
@@ -432,8 +435,21 @@ def _pool_map(fn, items, workers):
     # One item per task: the pool queues at most one item beyond those its
     # workers run, so an early stop wastes little, and every caller's item
     # (a whole chain or benchmark replicate) dwarfs its round trip.
-    pool = ProcessPoolExecutor(max_workers=workers)
+    pool = ProcessPoolExecutor(max_workers=workers, initializer=_install_worker_fn,
+                               initargs=(fn,))
     try:
-        yield from pool.map(fn, items)
+        yield from pool.map(_call_worker_fn, items)
     finally:
         pool.shutdown(wait=True, cancel_futures=True)
+
+
+_worker_fn = None  # set in each worker process by _install_worker_fn
+
+
+def _install_worker_fn(fn) -> None:
+    global _worker_fn
+    _worker_fn = fn
+
+
+def _call_worker_fn(x):
+    return _worker_fn(x)

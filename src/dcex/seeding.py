@@ -20,8 +20,17 @@ def derive_seed(master: int, *path: int) -> int:
 def sample_without_replacement(total: int, count: int, rng) -> np.ndarray:
     """Uniformly sample ``count`` distinct integers from ``range(total)``.
 
-    Floyd's algorithm: O(count) work and draws, no O(total) permutation, so
-    it stays cheap when picking a sparse edge set out of ~N^2 slots.
+    Floyd's algorithm (Bentley & Floyd 1987): step i, with j = total -
+    count + i, draws t uniform in [0, j] and takes t, or j if t is already
+    taken.  O(count) work and draws, no O(total) permutation, so it stays
+    cheap when picking a sparse edge set out of ~N^2 slots.
+
+    All draws are made at once, so ``rng`` ends in the same state as the
+    step-by-step loop, and the picks are then worked out in numpy.  Step i
+    is bumped to j exactly when an earlier step drew its t, or when t is
+    the j of an earlier step k that was bumped itself; step k's outcome in
+    turn follows the same rule, so the links k < i are followed to their
+    end by pointer jumping.
     """
     if not (0 <= count <= total):
         raise ValueError(f"cannot pick {count} distinct values from {total}")
@@ -29,11 +38,24 @@ def sample_without_replacement(total: int, count: int, rng) -> np.ndarray:
         return np.empty(0, dtype=np.int64)
     js = np.arange(total - count, total, dtype=np.int64)
     draws = rng.integers(0, js + 1)
-    chosen: set[int] = set()
-    out = []
-    for j, t in zip(js.tolist(), draws.tolist()):
-        if t in chosen:
-            t = j
-        chosen.add(t)
-        out.append(t)
-    return np.array(out, dtype=np.int64)
+    # drawn_before[i]: an earlier step drew draws[i] too.  A stable sort
+    # keeps equal draws in step order, so every draw but the first of its
+    # run repeats an earlier one.  It sorts by 16-bit digits, least
+    # significant first: on uint16 numpy's stable argsort is a radix sort.
+    steps = np.arange(count)
+    order = steps
+    for shift in range(0, int(total - 1).bit_length(), 16):
+        digit = ((draws[order] >> shift) & 0xFFFF).astype(np.uint16)
+        order = order[np.argsort(digit, kind="stable")]
+    ranked = draws[order]
+    drawn_before = np.zeros(count, dtype=bool)
+    drawn_before[order[1:][ranked[1:] == ranked[:-1]]] = True
+    # Otherwise step i follows the earlier step k whose j is its draw.
+    k = draws - js[0]
+    ptr = np.where(~drawn_before & (k >= 0) & (k < steps), k, steps)
+    while True:
+        nxt = ptr[ptr]
+        if np.array_equal(nxt, ptr):
+            break
+        ptr = nxt
+    return np.where(drawn_before[ptr], js, draws)

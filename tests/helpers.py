@@ -26,6 +26,12 @@ def edge_multiset(g: DirectedGraph) -> dict[tuple[int, int], float]:
     }
 
 
+def labeled_edges(g: DirectedGraph) -> list[tuple]:
+    """``(src_label, dst_label, weight)`` of ``g``'s edges in canonical order."""
+    return [(g.label_of(int(s)), g.label_of(int(d)), float(w))
+            for s, d, w in zip(g.edge_src, g.edge_dst, g.edge_weight)]
+
+
 def dense_adj(g: DirectedGraph) -> np.ndarray:
     adj = np.zeros((g.n_nodes, g.n_nodes))
     for s, d, w in zip(g.edge_src, g.edge_dst, g.edge_weight):
@@ -127,14 +133,31 @@ def full_null_best_scores(residual, config, master, round_idx, observed, jobs):
     :func:`is_significant`; returns the scores, or None for a rejected round.
     """
     scores = [
-        _one_null_score((residual, config,
-                         derive_seed(master, round_idx, 1, i),
+        _one_null_score(residual, config,
+                        (derive_seed(master, round_idx, 1, i),
                          derive_seed(master, round_idx, 2, i)))
         for i in range(config.null_replicates)
     ]
     if not is_significant(observed, scores, config.significance_quantile):
         return None
     return scores
+
+
+def reference_floyd(total: int, count: int, rng) -> np.ndarray:
+    """Floyd's sampler step by step: the reference for
+    ``dcex.seeding.sample_without_replacement``, drawing the same numbers."""
+    if count == 0:
+        return np.empty(0, dtype=np.int64)
+    js = np.arange(total - count, total, dtype=np.int64)
+    draws = rng.integers(0, js + 1)
+    chosen: set[int] = set()
+    out = []
+    for j, t in zip(js.tolist(), draws.tolist()):
+        if t in chosen:
+            t = j
+        chosen.add(t)
+        out.append(t)
+    return np.array(out, dtype=np.int64)
 
 
 def reference_counts(adj: np.ndarray, members):

@@ -372,9 +372,9 @@ def count_null_chains(monkeypatch) -> list:
     calls = []
     score = extraction._one_null_score
 
-    def counted(payload):
-        calls.append(payload)
-        return score(payload)
+    def counted(residual, config, seeds):
+        calls.append(seeds)
+        return score(residual, config, seeds)
 
     monkeypatch.setattr(extraction, "_one_null_score", counted)
     return calls
@@ -424,7 +424,8 @@ class TestSequentialNulls:
         assert extraction._exceedance_limit(nulls, quantile) < fewest
         calls = []
         monkeypatch.setattr(extraction, "_one_null_score",
-                            lambda payload: calls.append(payload) or math.inf)
+                            lambda residual, config, seeds:
+                            calls.append(seeds) or math.inf)
         g = directed_gnp(30, 0.15, seed=0)
         cfg = fast_config(null_replicates=nulls, significance_quantile=quantile)
         rep = extract_all(g, cfg)

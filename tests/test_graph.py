@@ -1,4 +1,5 @@
 import gc
+import hashlib
 import pickle
 
 import numpy as np
@@ -24,6 +25,7 @@ from helpers import (
     assert_graph_equals_reference,
     directed_gnp,
     edge_multiset,
+    labeled_edges,
     reference_complement,
     reference_graph,
     reference_symmetrized_edges,
@@ -34,6 +36,15 @@ def write(tmp_path, text, name="g.edgelist"):
     path = tmp_path / name
     path.write_text(text)
     return path
+
+
+def graph_digest(g):
+    """sha256 of a graph's edge columns, labels and strengths."""
+    h = hashlib.sha256()
+    for col in (g.edge_src, g.edge_dst, g.edge_weight):
+        h.update(col.tobytes())
+    h.update(repr((g.labels, g.out_strength, g.in_strength)).encode())
+    return h.hexdigest()
 
 
 class TestLoadEdgeList:
@@ -69,6 +80,28 @@ class TestLoadEdgeList:
         with pytest.raises(EdgeListParseError, match="weight"):
             load_edge_list(write(tmp_path, "a b xx\n"))
 
+    @pytest.mark.parametrize(
+        "line, error, message",
+        [
+            ("a b 1 2", EdgeListParseError, "expected 'src dst \\[weight\\]'"),
+            ("a", EdgeListParseError, "expected"),
+            ("a a", GraphValidationError, "self-loop at node 'a'"),
+            ("a a xx", GraphValidationError, "self-loop at node 'a'"),
+            ("a b xx", EdgeListParseError, "bad weight 'xx'"),
+            ("a b nan", GraphValidationError, "non-finite weight"),
+            ("a b inf", GraphValidationError, "non-finite weight"),
+            ("a b -inf", GraphValidationError, "non-finite weight"),
+            ("a b -1.5", GraphValidationError, "negative weight -1.5"),
+            ("a b 0", GraphValidationError, "zero-weight edge"),
+            ("a b -0.0", GraphValidationError, "zero-weight edge"),
+        ],
+    )
+    def test_rejected_line_names_path_and_line(self, tmp_path, line, error, message):
+        path = write(tmp_path, f"a b 1\n# comment\n\n{line}\nb c\n")
+        with pytest.raises(error, match=message) as info:
+            load_edge_list(path)
+        assert str(info.value).startswith(f"{path}:4: ")
+
     def test_comments_and_blanks_skipped(self, tmp_path):
         g = load_edge_list(write(tmp_path, "# header\n\na b 1.5\n  # indented\n"))
         assert edge_multiset(g) == {(0, 1): 1.5}
@@ -80,6 +113,20 @@ class TestLoadEdgeList:
     def test_undirected_reciprocal_lines_merge(self, tmp_path):
         g = load_edge_list(write(tmp_path, "a b\nb a\n"), directed=False)
         assert edge_multiset(g) == {(0, 1): 2.0, (1, 0): 2.0}
+
+    def test_reciprocal_float_lines_pinned(self, tmp_path):
+        # Undirected lines a b w and b a w' repeated: each merged weight is a
+        # sum of rounded floats, so the order of summation shows in its bits.
+        rng = np.random.default_rng(9)
+        lines = []
+        for _ in range(300):
+            a, b = rng.choice(12, size=2, replace=False)
+            lines.append(f"n{a} n{b} {rng.uniform(0.1, 3.0)!r}\n")
+        path = write(tmp_path, "".join(lines))
+        assert graph_digest(load_edge_list(path, directed=False)) == (
+            "e3f99fe076bcd0cd9e50fb5d9b896f022120563a86b8cccd68700943bacc1d2d")
+        assert graph_digest(load_edge_list(path)) == (
+            "336c02adc1587a823683f86acc76a2cb094967e7df13c4c6ea4476be930df641")
 
     def test_empty_file_gives_empty_graph(self, tmp_path):
         g = load_edge_list(write(tmp_path, "# nothing\n"))
@@ -201,6 +248,19 @@ class TestArrayBuilderMatchesReference:
         assert_graph_equals_reference(
             DirectedGraph.from_arrays(n, src, dst, weight), ref
         )
+
+    @pytest.mark.parametrize("n", [1 << 16, 70000])
+    def test_wide_node_ids(self, n):
+        # Ids up to 65535 are sorted as uint16; more nodes sort int64 keys.
+        rng = np.random.default_rng(n)
+        ends = rng.integers(0, n, size=(3000, 2))
+        ends[:40] = rng.choice([0, 65534, 65535, n - 1], size=(40, 2))
+        ends = ends[ends[:, 0] != ends[:, 1]]
+        ends = np.concatenate([ends, ends[:500], ends[::-7]])  # duplicates
+        weight = rng.uniform(0.5, 2.0, size=len(ends))
+        edges = list(zip(ends[:, 0].tolist(), ends[:, 1].tolist(), weight.tolist()))
+        g = DirectedGraph.from_arrays(n, ends[:, 0], ends[:, 1], weight)
+        assert_graph_equals_reference(g, reference_graph(n, edges))
 
     @settings(max_examples=100, deadline=None)
     @given(float_edge_lists())
@@ -413,8 +473,8 @@ class TestRoundTrip:
             path = tmp_path / f"g{seed}.edgelist"
             save_edge_list(g, path)
             g2 = load_edge_list(path)
-            original = {(str(s), str(d)): w for s, d, w in g.labeled_edges()}
-            reloaded = {(s, d): w for s, d, w in g2.labeled_edges()}
+            original = {(str(s), str(d)): w for s, d, w in labeled_edges(g)}
+            reloaded = {(s, d): w for s, d, w in labeled_edges(g2)}
             assert original == reloaded
 
     def test_float_weights_round_trip_exactly(self, tmp_path):
@@ -422,7 +482,22 @@ class TestRoundTrip:
         path = tmp_path / "w.edgelist"
         save_edge_list(g, path)
         g2 = load_edge_list(path)
-        assert {(s, d): w for s, d, w in g2.labeled_edges()} == {
+        assert {(s, d): w for s, d, w in labeled_edges(g2)} == {
             ("x", "y"): 0.1,
             ("y", "z"): 2.5,
         }
+
+    def test_saved_bytes_pinned(self, tmp_path):
+        # Float weights, some integral (written as ints), on labels out of
+        # id order.
+        base = directed_gnp(60, 0.12, seed=11, float_weights=True)
+        weight = base.edge_weight.copy()
+        weight[::5] = 3.0
+        weight[1::9] = 1e20
+        labels = [f"v{i}" for i in np.random.default_rng(4).permutation(60)]
+        g = DirectedGraph.from_arrays(60, base.edge_src, base.edge_dst, weight,
+                                      labels=labels)
+        path = tmp_path / "g.edgelist"
+        save_edge_list(g, path)
+        assert hashlib.sha256(path.read_bytes()).hexdigest() == (
+            "3d6b65ae292dc2d07a2f849c7fd83c6bcad2b34f5ec3dea623a9c51712a3659b")
