@@ -224,6 +224,14 @@ class _Rows(dict):
         return row
 
 
+def _offsets(ids, n):
+    """``at`` with ``at[u]`` the number of ids below u, for u in 0..n: the
+    start of node u's edges in columns sorted by these ids."""
+    at = np.zeros(n + 1, dtype=np.intp)
+    np.cumsum(np.bincount(ids, minlength=n), out=at[1:])
+    return at
+
+
 def _row_maps(n, src, dst, weight):
     """The row maps, in ``_ROW_MAPS`` order, of a graph whose edge columns
     are sorted by (src, dst).  A stable sort by dst orders the edges by (dst,
@@ -231,8 +239,7 @@ def _row_maps(n, src, dst, weight):
     or the graph, so a dropped graph leaves no reference cycle."""
     by_dst = np.argsort(dst.astype(np.uint16) if n <= _RADIX_NODES else dst,
                         kind="stable")
-    ends = np.arange(n + 1)
-    out_at, in_at = np.searchsorted(src, ends), np.searchsorted(dst[by_dst], ends)
+    out_at, in_at = _offsets(src, n), _offsets(dst, n)
     node = list(range(n)).__getitem__  # one int object per node
     floats = _Rows(lambda _: weight.tolist())  # floats[0]: one float per edge
 

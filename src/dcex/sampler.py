@@ -13,7 +13,11 @@ reachable state space.
 
 Each node keeps its edge weight to and from S, so a proposal costs O(1), and
 a proposal repeated from an unchanged subset is one lookup.  An accepted move
-walks the moved node's merged neighbour row once and clears that memo.
+walks the moved node's merged neighbour row once and clears that memo.  Once
+every pool node has been proposed and rejected from the current subset,
+nothing a proposal reads can change until a move is accepted, so a run of
+rejections expected to go on is taken in numpy from the same uniform draws,
+up to the next accepted step.
 """
 
 from __future__ import annotations
@@ -34,6 +38,13 @@ from .criterion import (
 )
 
 _RNG_BLOCK = 8192
+# A run of rejections that has proposed every pool node is taken by
+# _scan_rejections when it is expected to go on for this many steps more.
+_SCAN_MIN = 64
+# Draws in a scan's first window; each miss takes a window 4x larger, up to
+# _SCAN_WINDOW_MAX, which bounds the scan's temporary arrays.
+_SCAN_WINDOW = 256
+_SCAN_WINDOW_MAX = 4096
 
 
 class ChainConfigError(ValueError):
@@ -153,6 +164,10 @@ def run_chain(
     A proposal repeated from an unchanged subset is a lookup of its delta, log
     ratio and acceptance bar (it still draws its own uniform); an accepted
     move walks its node's merged row once, in O(degree), and clears that memo.
+    When the memo covers the whole pool, and the mean acceptance bar says the
+    run of rejections should last at least ``_SCAN_MIN`` more steps, the run
+    is taken in numpy (:func:`_scan_rejections`): it reads the same draws,
+    stops at the same step and reports the same events as the step loop.
     """
     n = g.n_nodes
     if n < 2:
@@ -217,33 +232,43 @@ def run_chain(
             to_s[v] += a
             from_s[v] += b
 
-    next_uniform = _uniforms(rng).__next__
     c = config.c
     hastings = config.hastings_corrected
     items = pool.items
     out_strength, in_strength = g.out_strength, g.in_strength
     exp, log = math.exp, math.log
+    scan_min = _SCAN_MIN
+    # Uniform draws: a numpy block, read by index from its list copy.
+    block = rng.random(_RNG_BLOCK)
+    draws = block.tolist()
+    pos = 0
+    refill_at = len(draws) - 1  # a step may take two draws
     best_w = w_cur
     accepted = 0
     since_improve = 0
+    scan = True  # no scan has been weighed since the last accepted move
     stopped = "max_steps"
-    steps = 0
+    step = 0
     # What proposing each node from the current state gives; S and
     # everything a proposal reads change only on an accepted move.
     memo = {}
 
-    for step in range(1, max_steps + 1):
-        steps = step
+    while step < max_steps:
+        step += 1
         pool_len = len(items)
         if pool_len == 1 and state.size == 1:
             # Isolated single-node state: no admissible move can ever fire.
-            steps = step - 1
+            step -= 1
             stopped = "stalled"
             break
-        k = int(next_uniform() * pool_len)
-        if k == pool_len:  # guard against rounding at the top of the range
-            k = pool_len - 1
-        u = items[k]
+        if pos >= refill_at:
+            block, pos = _refill(rng, block, pos), 0
+            del draws  # free the old list before its successor is made
+            draws = block.tolist()
+            refill_at = len(draws) - 1
+        # u < 1 and pool_len < 2**53, so u * pool_len rounds below pool_len.
+        u = items[int(draws[pos] * pool_len)]
+        pos += 1
         outcome = memo.get(u)
         if outcome is not None:
             direction, new_counts, w_new, delta, log_ratio, bar = outcome
@@ -275,11 +300,13 @@ def run_chain(
             unif = None
             accept = delta is not None
         else:
-            unif = next_uniform()
+            unif = draws[pos]
+            pos += 1
             accept = unif < bar
 
         if accept:
             accepted += 1
+            scan = True
             memo.clear()
             state.apply_move(u, direction, new_counts)
             w_cur = w_new
@@ -318,13 +345,110 @@ def run_chain(
             stopped = "patience"
             break
 
-    return make_result(stopped, steps, accepted, best_members)
+        if scan and len(memo) == pool_len:
+            # Every pool node has been proposed and rejected from this state,
+            # so until a move is accepted each step is a lookup.  Take the
+            # rest of the run in numpy if it is expected to last scan_min
+            # steps: the chance of an accept per step is the mean bar.
+            scan = False
+            bars = [memo[v][5] for v in items]
+            limit = min(patience - since_improve, max_steps - step)
+            if limit >= scan_min and sum(filter(None, bars)) * scan_min <= pool_len:
+                taken, new_block, pos, picks = _scan_rejections(
+                    rng, block, pos, bars, limit, observer is not None)
+                if picks is not None:
+                    size = state.size
+                    for i, (k, unif) in enumerate(picks, start=step + 1):
+                        u = items[k]
+                        direction, _, _, delta, log_ratio, _ = memo[u]
+                        observer(StepEvent(i, u, direction, delta, log_ratio,
+                                           unif, False, size, w_cur), state)
+                if new_block is not block:
+                    block = new_block
+                    del draws
+                    draws = block.tolist()
+                    refill_at = len(draws) - 1
+                step += taken
+                since_improve += taken
+                if since_improve >= patience:
+                    stopped = "patience"
+                    break
+
+    return make_result(stopped, step, accepted, best_members)
 
 
-def _uniforms(rng):
-    """Endless stream of uniform draws on [0, 1), taken from ``rng`` in blocks."""
+def _refill(rng, block, pos):
+    """The draws of ``block`` from ``pos`` on, then a fresh block from ``rng``:
+    the stream read on is the same as if no block boundary were there."""
+    return np.concatenate((block[pos:], rng.random(_RNG_BLOCK)))
+
+
+def _scan_rejections(rng, block, pos, bars, limit, keep):
+    """Take the rejected steps of a chain whose state stays fixed, in numpy.
+
+    ``bars[k]`` is the acceptance bar of the node at pool position k, or None
+    when that node's move is rejected outright; no node is accepted
+    outright.  Starting at ``block[pos]``, each step draws its pool position
+    ``k = int(u * P)`` and, when ``bars[k]`` is not None, an
+    acceptance uniform; the step is accepted when that uniform is below the
+    bar.  Takes steps until the next accepted one, which is left to be
+    drawn again, or until ``limit`` steps.  Returns ``(taken, block, pos,
+    picks)``: the steps taken, the block and index where the next draw is,
+    and, when ``keep``, each taken step's ``(k, uniform or None)``.
+    """
+    size = len(bars)
+    every = None not in bars  # then each step is a plain pair of draws
+    # An outright rejection's bar is 0.0, which no uniform is below.
+    bar = np.array(bars if every else [b or 0.0 for b in bars])
+    two = None if every else np.array([b is not None for b in bars])
+    picks = [] if keep else None
+    taken = 0
+    window = _SCAN_WINDOW
     while True:
-        yield from rng.random(_RNG_BLOCK).tolist()
+        if len(block) - pos < 2:
+            block, pos = _refill(rng, block, pos), 0
+        d = block[pos:min(len(block), pos + window, pos + 2 * (limit - taken))]
+        if every:
+            steps = len(d) // 2
+            ks = (d[0:2 * steps:2] * size).astype(np.intp)
+            unifs = d[1:2 * steps:2]
+            ends = None
+        else:
+            m = len(d)
+            ks = (d * size).astype(np.intp)
+            two_d = two[ks]
+            # Draw j starts a step unless draw j-1 started a two-draw step:
+            # after the last one-draw pick r < j, starts alternate, so j
+            # starts a step iff j - r is odd (r = -1 when there is none).
+            gap = np.arange(m)
+            last = np.where(two_d, -1, gap)
+            np.maximum.accumulate(last, out=last)
+            gap[0] = 1
+            gap[1:] -= last[:-1]  # j - r
+            starts = np.flatnonzero(gap & 1)
+            ends = starts + 1 + two_d[starts]  # the draw after each step
+            if ends[-1] > m:  # its acceptance draw is past the window
+                starts, ends = starts[:-1], ends[:-1]
+            steps = len(starts)
+            ks = ks[starts]
+            unifs = d[np.minimum(starts + 1, m - 1)]
+        hit = unifs < bar[ks]
+        room = min(steps, limit - taken)
+        first = int(hit[:room].argmax())
+        t = first if hit[first] else room
+        if keep and t:
+            u_list = unifs[:t].tolist()
+            if ends is not None:
+                u_list = [x if e - s == 2 else None
+                          for x, s, e in zip(u_list, starts[:t].tolist(),
+                                             ends[:t].tolist())]
+            picks += zip(ks[:t].tolist(), u_list)
+        taken += t
+        if t:
+            pos += 2 * t if ends is None else int(ends[t - 1])
+        if t < room or taken == limit:
+            return taken, block, pos, picks
+        window = min(4 * window, _SCAN_WINDOW_MAX)
 
 
 def _pool_size_after(u, direction, pool_len, cov, in_set, nbrs):

@@ -12,7 +12,7 @@ from collections import Counter
 
 import numpy as np
 
-from dcex import DirectedGraph, derive_seed, max_admissible_size
+from dcex import DirectedGraph, derive_seed, max_admissible_size, sampler
 from dcex.baselines import _leading_eigenvector
 from dcex.criterion import CommunityState, score_from_counts, value_from_counts
 from dcex.extraction import _exceedance_limit, _one_null_score
@@ -118,6 +118,26 @@ class VisitCounter:
     def ranked(self) -> list[frozenset]:
         """Visited subsets, most frequent first (ties in first-visit order)."""
         return [s for s, _ in self.counts.most_common()]
+
+
+class ScanSpy:
+    """Wraps ``sampler._scan_rejections`` and records, for each call, the
+    acceptance bars it was given, its step limit and the steps it took."""
+
+    def __init__(self, monkeypatch):
+        self.calls: list[tuple[list, int, int]] = []
+        scan = sampler._scan_rejections
+
+        def spy(rng, block, pos, bars, limit, keep):
+            out = scan(rng, block, pos, bars, limit, keep)
+            self.calls.append((list(bars), limit, out[0]))
+            return out
+
+        monkeypatch.setattr(sampler, "_scan_rejections", spy)
+
+    @property
+    def steps(self) -> int:
+        return sum(taken for _, _, taken in self.calls)
 
 
 def is_significant(observed: float, null_scores, quantile: float) -> bool:

@@ -5,8 +5,9 @@ The digests were recorded before the chain learned to reuse a proposal's
 outcome while its state is unchanged, before the swap loop keyed its edge
 set by ints, (the 2000-node reports) before graphs made their adjacency
 rows on first read, (the UCE report) before an accepted move walked one
-merged neighbour row, and (the subset counts and DMM partitions) before
-every reader took a node's edges from its merged row; any change to the
+merged neighbour row, (the subset counts and DMM partitions) before every
+reader took a node's edges from its merged row, and (all of them) before
+long runs of rejections were taken in numpy; any change to the
 events, the RNG stream, the reports, the null graphs, the counts or the
 partitions shows here.
 """
@@ -28,7 +29,7 @@ from dcex.criterion import CommunityState, CriterionParams
 from dcex.extraction import ExtractionConfig
 from dcex.sampler import ChainConfig
 
-from helpers import directed_gnp
+from helpers import ScanSpy, directed_gnp
 
 FIGURE1_EDGELIST = (
     Path(__file__).resolve().parent.parent / "data" / "figure1" / "figure1.edgelist"
@@ -229,8 +230,11 @@ def null_graph_digest(g):
 
 @pytest.mark.parametrize("case", CHAIN_CASES, ids=lambda case: "-".join(
     [("hastings" if case[0] else "plain"), *map(str, case[1:])]))
-def test_chain_event_stream_is_pinned(case):
+def test_chain_event_stream_is_pinned(case, monkeypatch):
+    spy = ScanSpy(monkeypatch)
     assert chain_digest(*case) == CHAIN_DIGESTS[case]
+    if case[-1] == 1000.0:  # near-frozen: its long rejection runs are scanned
+        assert spy.steps > 0
 
 
 def test_extract_report_and_trace_are_pinned(tmp_path):

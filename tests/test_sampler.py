@@ -25,6 +25,7 @@ from dcex.criterion import (
 from dcex.sampler import ChainConfig, ChainConfigError, write_trace_csv
 
 from helpers import (
+    ScanSpy,
     VisitCounter,
     admissible_subsets,
     brute_force_optimum,
@@ -360,6 +361,138 @@ class TestProposalMemo:
         assert r.accepted >= 50
         assert ref.checked > 4000
         assert repeats > 4000
+
+
+def scanned_and_stepped(g, params, cfg, monkeypatch):
+    """Run the chain with rejection runs taken in numpy whenever the chain
+    may (``_SCAN_MIN`` 1) and with every step in the step loop, with and
+    without an observer; assert that all four agree, event for event, and
+    return the result, the scanning run's spy and its events."""
+    monkeypatch.setattr(sampler, "_SCAN_MIN", 10**18)
+    stepped, stepped_events = run_observed(g, params, cfg)
+    assert_same_result(run_chain(g, params, cfg), stepped)
+    monkeypatch.setattr(sampler, "_SCAN_MIN", 1)
+    spy = ScanSpy(monkeypatch)
+    scanned, events = run_observed(g, params, cfg)
+    assert_same_result(scanned, stepped)
+    # repr, so a numpy scalar in place of a float would show
+    assert [repr(e) for e in events] == [repr(e) for e in stepped_events]
+    assert_same_result(run_chain(g, params, cfg), stepped)
+    return scanned, spy, events
+
+
+def local_max_start(g, params, hastings):
+    """The best set of a frozen chain: a start no single move improves."""
+    cfg = ChainConfig(c=1000.0, seed=1, max_steps=4000, patience=4000,
+                      hastings_corrected=hastings)
+    return tuple(sorted(run_chain(g, params, cfg).best_state.members))
+
+
+@pytest.mark.parametrize("hastings", [False, True])
+class TestRejectionScan:
+    """Runs of rejections taken in numpy give the step loop's chain."""
+
+    PARAMS = CriterionParams(rho=0.8, n=1.0)
+
+    def test_underflowed_bars(self, hastings, monkeypatch):
+        # At c=1000 a downhill move's bar exp(c * dW) underflows to 0.0: it
+        # still takes an acceptance draw and is never accepted.
+        g = directed_gnp(40, 0.1, seed=21)
+        cfg = ChainConfig(c=1000.0, seed=3, max_steps=4000, patience=4000,
+                          hastings_corrected=hastings)
+        _, spy, events = scanned_and_stepped(g, self.PARAMS, cfg, monkeypatch)
+        assert any(0.0 in bars and taken for bars, _, taken in spy.calls)
+        assert any(e.uniform is not None and e.log_ratio < -746 for e in events)
+
+    def test_outright_accepts(self, hastings, monkeypatch):
+        g = directed_gnp(40, 0.1, seed=21, float_weights=True)
+        cfg = ChainConfig(c=0.3, seed=4, max_steps=6000, patience=6000,
+                          hastings_corrected=hastings)
+        _, spy, events = scanned_and_stepped(g, self.PARAMS, cfg, monkeypatch)
+        # Scans that end at an accepted step, which the step loop then takes.
+        assert any(0 < taken < limit for _, limit, taken in spy.calls)
+        assert any(e.accepted and e.uniform is None for e in events)
+
+    def test_auto_rejected_remove_of_the_last_member(self, hastings, monkeypatch):
+        g = directed_gnp(30, 0.1, seed=5)
+        params = CriterionParams(rho=0.8, n=5.0)
+        cfg = ChainConfig(c=1000.0, seed=6, max_steps=3000, patience=3000,
+                          init_members=(int(g.edge_src[0]),),
+                          hastings_corrected=hastings)
+        _, spy, events = scanned_and_stepped(g, params, cfg, monkeypatch)
+        assert any(None in bars and taken for bars, _, taken in spy.calls)
+        assert any(e.direction == "remove" and e.delta is None and e.size == 1
+                   for e in events)
+
+    def test_auto_rejected_add_at_the_top_size(self, hastings, monkeypatch):
+        g = directed_gnp(12, 0.3, seed=7)
+        params = CriterionParams(rho=0.5, n=1.0)  # |S| at most 2
+        start = (int(g.edge_src[0]), int(g.edge_dst[0]))
+        assert len(start) == max_admissible_size(g.n_nodes, params.rho)
+        cfg = ChainConfig(c=1000.0, seed=8, max_steps=3000, patience=3000,
+                          init_members=start, hastings_corrected=hastings)
+        _, spy, events = scanned_and_stepped(g, params, cfg, monkeypatch)
+        assert any(None in bars and taken for bars, _, taken in spy.calls)
+        assert any(e.direction == "add" and e.delta is None for e in events)
+
+    def test_isolated_start_stalls(self, hastings, monkeypatch):
+        g = DirectedGraph(6, [(0, 1, 1.0), (1, 2, 1.0)])
+        cfg = ChainConfig(seed=0, init_members=(5,), hastings_corrected=hastings)
+        r, spy, events = scanned_and_stepped(g, PARAMS_N1, cfg, monkeypatch)
+        assert r.stopped == "stalled"
+        assert spy.calls == [] and events == []
+
+    def test_stall_longer_than_a_draw_block(self, hastings, monkeypatch):
+        g = directed_gnp(40, 0.1, seed=21)
+        start = local_max_start(g, self.PARAMS, hastings)
+        cfg = ChainConfig(c=1000.0, seed=9, max_steps=30000, patience=30000,
+                          init_members=start, hastings_corrected=hastings)
+        _, spy, events = scanned_and_stepped(g, self.PARAMS, cfg, monkeypatch)
+        assert max(taken for _, _, taken in spy.calls) > sampler._RNG_BLOCK
+        # Across block boundaries the chain reads one unbroken stream: each
+        # step takes a pick draw, then the acceptance draw it reports.
+        stream = np.random.default_rng(cfg.seed).random(2 * len(events)).tolist()
+        pos = 0
+        for e in events:
+            pos += 1
+            if e.uniform is not None:
+                assert e.uniform == stream[pos]
+                pos += 1
+        assert pos > 2 * sampler._RNG_BLOCK
+
+    @pytest.mark.parametrize("max_steps, patience, stopped", [
+        (30000, 3000, "patience"),
+        (3000, 3000, "max_steps"),
+    ])
+    def test_cap_inside_a_scan(self, hastings, max_steps, patience, stopped,
+                               monkeypatch):
+        g = directed_gnp(40, 0.1, seed=21)
+        cfg = ChainConfig(c=1000.0, seed=12, max_steps=max_steps,
+                          patience=patience, hastings_corrected=hastings)
+        r, spy, _ = scanned_and_stepped(g, self.PARAMS, cfg, monkeypatch)
+        _, limit, taken = spy.calls[-1]
+        assert taken == limit
+        assert r.stopped == stopped
+
+    def test_patience_and_max_steps_on_the_same_step(self, hastings, monkeypatch):
+        # From a local maximum no step improves W, so patience runs out on
+        # the last step; patience wins.
+        g = directed_gnp(40, 0.1, seed=21)
+        start = local_max_start(g, self.PARAMS, hastings)
+        cfg = ChainConfig(c=1000.0, seed=11, max_steps=2000, patience=2000,
+                          init_members=start, hastings_corrected=hastings)
+        r, spy, _ = scanned_and_stepped(g, self.PARAMS, cfg, monkeypatch)
+        _, limit, taken = spy.calls[-1]
+        assert taken == limit
+        assert (r.stopped, r.steps_run) == ("patience", 2000)
+
+
+@given(st.integers(1, 2**53 - 1))
+def test_a_pool_position_draw_stays_below_the_pool_size(size):
+    # The chain and its scan pick position int(u * P) with no clamp: for u
+    # below 1 the rounded product never reaches P.
+    assert int(np.nextafter(1.0, 0.0) * size) < size
+    assert int((np.array([np.nextafter(1.0, 0.0)]) * size).astype(np.intp)[0]) < size
 
 
 class TestFrequencyRanking:
