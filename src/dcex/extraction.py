@@ -17,6 +17,7 @@ from concurrent.futures import ProcessPoolExecutor
 from contextlib import closing
 from dataclasses import asdict, dataclass, replace
 from functools import partial
+from itertools import islice
 from statistics import median
 
 import numpy as np
@@ -220,38 +221,35 @@ def _randomize_degree_preserving(g, rng) -> DirectedGraph:
     n = g.n_nodes
     src = g.edge_src.tolist()
     dst = g.edge_dst.tolist()
-    eset = set((g.edge_src * n + g.edge_dst).tolist())  # edge a->b is a*n + b
+    # Edge a->b is a*n + b.  Every self-loop key a*n + a is in the set too, so
+    # one membership test rejects each swap that would be a no-op (the same
+    # edge twice, a == c or b == d: a key of an edge) or make a self-loop
+    # (a == d or c == b: a loop key) or a duplicate edge.
+    eset = set((g.edge_src * n + g.edge_dst).tolist())
+    eset.update(range(0, n * n, n + 1))
     n_edges = len(src)
     target = 10 * n_edges
     max_attempts = 20 * target
     accepted = 0
     attempts = 0
-    block: list[int] = []
-    bi = 0
     while accepted < target and attempts < max_attempts:
-        if bi + 2 > len(block):
-            block = rng.integers(0, n_edges, size=4096).tolist()
-            bi = 0
-        ia, ic = block[bi], block[bi + 1]
-        bi += 2
-        attempts += 1
-        if ia == ic:
-            continue
-        a, b = src[ia], dst[ia]
-        c, d = src[ic], dst[ic]
-        # (a->b, c->d) => (a->d, c->b); skip no-ops, self-loops, duplicates.
-        if a == c or b == d or a == d or c == b:
-            continue
-        ad, cb = a * n + d, c * n + b
-        if ad in eset or cb in eset:
-            continue
-        eset.discard(a * n + b)
-        eset.discard(c * n + d)
-        eset.add(ad)
-        eset.add(cb)
-        dst[ia] = d
-        dst[ic] = b
-        accepted += 1
+        picks = iter(rng.integers(0, n_edges, size=4096).tolist())
+        for ia, ic in islice(zip(picks, picks), max_attempts - attempts):
+            attempts += 1
+            # (a->b, c->d) => (a->d, c->b)
+            a, b, c, d = src[ia], dst[ia], src[ic], dst[ic]
+            ad, cb = a * n + d, c * n + b
+            if ad in eset or cb in eset:
+                continue
+            eset.discard(a * n + b)
+            eset.discard(c * n + d)
+            eset.add(ad)
+            eset.add(cb)
+            dst[ia] = d
+            dst[ic] = b
+            accepted += 1
+            if accepted == target:
+                break
     meta = {
         "null_model": NULL_DEGREE_PRESERVING,
         "target_swaps": target,

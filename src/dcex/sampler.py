@@ -13,11 +13,14 @@ reachable state space.
 
 Each node keeps its edge weight to and from S, so a proposal costs O(1), and
 a proposal repeated from an unchanged subset is one lookup.  An accepted move
-walks the moved node's merged neighbour row once and clears that memo.  Once
-every pool node has been proposed and rejected from the current subset,
-nothing a proposal reads can change until a move is accepted, so a run of
-rejections expected to go on is taken in numpy from the same uniform draws,
-up to the next accepted step.
+walks the moved node's merged neighbour row once and starts a new memo.  On a
+graph of integer weights every sum is exact, so a memo depends on S alone:
+the chain keeps those of the last subsets it left, keyed by a Zobrist hash
+of S (Zobrist 1970), and an accepted move that returns to one of them takes
+its memo back.  Once every pool node has been proposed from the current
+subset and none is accepted outright, nothing a proposal reads can change
+until a move is accepted, so a run of rejections expected to go on is taken
+in numpy from the same uniform draws, up to the next accepted step.
 """
 
 from __future__ import annotations
@@ -45,6 +48,15 @@ _SCAN_MIN = 64
 # _SCAN_WINDOW_MAX, which bounds the scan's temporary arrays.
 _SCAN_WINDOW = 256
 _SCAN_WINDOW_MAX = 4096
+# Memos of the subsets a chain left most recently that it keeps for a return,
+# on graphs where a memo depends on the subset alone (integer weights).
+_MEMO_STATES = 16
+# A chain parks no more once it has parked this many memos more than this
+# many times the memos it took back: with none taken back, after 256 parks.
+_PARK_TRIAL = 256
+# Seed of the Zobrist words that key the parked memos; a generator apart
+# from the chain's, so no chain draw moves.
+_KEY_SEED = 0x5EED_2B0B
 
 
 class ChainConfigError(ValueError):
@@ -163,11 +175,20 @@ def run_chain(
 
     A proposal repeated from an unchanged subset is a lookup of its delta, log
     ratio and acceptance bar (it still draws its own uniform); an accepted
-    move walks its node's merged row once, in O(degree), and clears that memo.
-    When the memo covers the whole pool, and the mean acceptance bar says the
-    run of rejections should last at least ``_SCAN_MIN`` more steps, the run
-    is taken in numpy (:func:`_scan_rejections`): it reads the same draws,
-    stops at the same step and reports the same events as the step loop.
+    move walks its node's merged row once, in O(degree), and starts a new
+    memo.  When every edge weight is an integer and the total weight is below
+    2**53, all counts and pool weights are exact sums, so a memo made at S
+    holds on any later visit to S: the memos of the ``_MEMO_STATES`` subsets
+    left last are parked under a Zobrist key of S, and a move back to one of
+    them restores its memo when the parked counts equal the new ones.  A
+    chain stops parking once its parks that restored nothing reach
+    ``_PARK_TRIAL`` times one more than its restores (256 parks when it
+    restores none).
+    When the memo covers the whole pool, holds no outright accept, and the
+    mean acceptance bar says the run of rejections should last at least
+    ``_SCAN_MIN`` more steps, the run is taken in numpy
+    (:func:`_scan_rejections`): it reads the same draws, stops at the same
+    step and reports the same events as the step loop.
     """
     n = g.n_nodes
     if n < 2:
@@ -252,10 +273,28 @@ def run_chain(
     # What proposing each node from the current state gives; S and
     # everything a proposal reads change only on an accepted move.
     memo = {}
+    # The memos of the subsets left last, oldest first, as key -> (counts,
+    # memo), where a subset's key is the XOR of its nodes' Zobrist words.
+    # With float weights (x + w) - w may differ from x, so a returning
+    # subset's counts may not be those its memo was made with: keep none.
+    weights = g.edge_weight
+    exact = g.total_weight < 2**53 and not np.any(weights != np.floor(weights))
+    keep = _MEMO_STATES if exact else 0
+    parked = {}
+    trial = _PARK_TRIAL  # parks left before parking stops; a restore adds more
+    if keep:
+        # Read with .item(): a list of n Python ints would add about 1 MB
+        # to the peak RSS at N=10000.
+        words = np.random.default_rng(_KEY_SEED).integers(
+            0, 2**64, size=n, dtype=np.uint64)
+        key = 0
+        for v in state.members:
+            key ^= words.item(v)
+        counts = state.counts()  # of the current subset
 
+    pool_len = len(items)  # changes only on an accepted move
     while step < max_steps:
         step += 1
-        pool_len = len(items)
         if pool_len == 1 and state.size == 1:
             # Isolated single-node state: no admissible move can ever fire.
             step -= 1
@@ -307,7 +346,22 @@ def run_chain(
         if accept:
             accepted += 1
             scan = True
-            memo.clear()
+            if keep:
+                parked[key] = (counts, memo)
+                counts = new_counts
+                if len(parked) > keep:
+                    del parked[next(iter(parked))]
+                key ^= words.item(u)
+                memo = _reuse(parked, key, new_counts)
+                if memo:
+                    trial += _PARK_TRIAL
+                else:
+                    trial -= 1
+                    if trial == 0:  # parking has not paid: stop
+                        keep = 0
+                        parked.clear()
+            else:
+                memo.clear()
             state.apply_move(u, direction, new_counts)
             w_cur = w_new
             if direction == "add":
@@ -326,6 +380,9 @@ def run_chain(
                     from_s[v] -= b
                 if cov[u] == 0:
                     pool.discard(u)
+            # Read before the scan weigh below: a restored memo may cover
+            # the new pool at once.
+            pool_len = len(items)
             if w_cur > best_w:
                 best_w = w_cur
                 best_members = frozenset(state.members)
@@ -346,14 +403,19 @@ def run_chain(
             break
 
         if scan and len(memo) == pool_len:
-            # Every pool node has been proposed and rejected from this state,
-            # so until a move is accepted each step is a lookup.  Take the
-            # rest of the run in numpy if it is expected to last scan_min
-            # steps: the chance of an accept per step is the mean bar.
+            # Every pool node has been proposed from this state, so until a
+            # move is accepted each step is a lookup.  Take the rest of the
+            # run in numpy if it is expected to last scan_min steps: the
+            # chance of an accept per step is the mean bar.  A restored memo
+            # may hold the outright accept that left this state before (bar
+            # None, with a delta), which the scan would read as a rejection.
             scan = False
             bars = [memo[v][5] for v in items]
             limit = min(patience - since_improve, max_steps - step)
-            if limit >= scan_min and sum(filter(None, bars)) * scan_min <= pool_len:
+            outright = None in bars and any(
+                memo[v][3] is not None for v in items if memo[v][5] is None)
+            if (limit >= scan_min and not outright
+                    and sum(filter(None, bars)) * scan_min <= pool_len):
                 taken, new_block, pos, picks = _scan_rejections(
                     rng, block, pos, bars, limit, observer is not None)
                 if picks is not None:
@@ -449,6 +511,15 @@ def _scan_rejections(rng, block, pos, bars, limit, keep):
         if t < room or taken == limit:
             return taken, block, pos, picks
         window = min(4 * window, _SCAN_WINDOW_MAX)
+
+
+def _reuse(parked, key, counts):
+    """The memo parked under ``key``, taken out, if it was made at ``counts``;
+    else a new one.  The counts also guard against a colliding key."""
+    got = parked.pop(key, None)
+    if got is not None and got[0] == counts:
+        return got[1]
+    return {}
 
 
 def _pool_size_after(u, direction, pool_len, cov, in_set, nbrs):

@@ -140,6 +140,31 @@ class ScanSpy:
         return sum(taken for _, _, taken in self.calls)
 
 
+class ReuseSpy:
+    """Wraps ``sampler._reuse``, which a chain calls once per accepted move
+    while it parks memos, and counts those calls, the memos they restored
+    and those restored memos that held an outright accept (an entry with no
+    acceptance bar and a delta).  ``restored`` tells whether the last call
+    restored a memo."""
+
+    def __init__(self, monkeypatch):
+        self.calls = self.restores = self.outright = 0
+        self.restored = False
+        reuse = sampler._reuse
+
+        def spy(parked, key, counts):
+            memo = reuse(parked, key, counts)
+            self.calls += 1
+            self.restored = bool(memo)
+            if memo:
+                self.restores += 1
+                self.outright += any(bar is None and delta is not None
+                                     for _, _, _, delta, _, bar in memo.values())
+            return memo
+
+        monkeypatch.setattr(sampler, "_reuse", spy)
+
+
 def is_significant(observed: float, null_scores, quantile: float) -> bool:
     """Whether the empirical p-value is at most ``1 - quantile``."""
     exceed = sum(1 for v in null_scores if v >= observed)

@@ -7,7 +7,8 @@ set by ints, (the 2000-node reports) before graphs made their adjacency
 rows on first read, (the UCE report) before an accepted move walked one
 merged neighbour row, (the subset counts and DMM partitions) before every
 reader took a node's edges from its merged row, and (all of them) before
-long runs of rejections were taken in numpy; any change to the
+long runs of rejections were taken in numpy and before a chain took back
+the memo of a subset it returned to; any change to the
 events, the RNG stream, the reports, the null graphs, the counts or the
 partitions shows here.
 """
@@ -29,7 +30,7 @@ from dcex.criterion import CommunityState, CriterionParams
 from dcex.extraction import ExtractionConfig
 from dcex.sampler import ChainConfig
 
-from helpers import ScanSpy, directed_gnp
+from helpers import ReuseSpy, ScanSpy, directed_gnp
 
 FIGURE1_EDGELIST = (
     Path(__file__).resolve().parent.parent / "data" / "figure1" / "figure1.edgelist"
@@ -231,10 +232,14 @@ def null_graph_digest(g):
 @pytest.mark.parametrize("case", CHAIN_CASES, ids=lambda case: "-".join(
     [("hastings" if case[0] else "plain"), *map(str, case[1:])]))
 def test_chain_event_stream_is_pinned(case, monkeypatch):
-    spy = ScanSpy(monkeypatch)
+    spy, reuse = ScanSpy(monkeypatch), ReuseSpy(monkeypatch)
     assert chain_digest(*case) == CHAIN_DIGESTS[case]
     if case[-1] == 1000.0:  # near-frozen: its long rejection runs are scanned
         assert spy.steps > 0
+    if case[2] == "float":  # sums round, so no memo is kept for a return
+        assert reuse.calls == 0
+    elif case[-1] == 0.05:  # a roaming chain comes back to sets it left
+        assert reuse.restores > 0
 
 
 def test_extract_report_and_trace_are_pinned(tmp_path):

@@ -1,4 +1,5 @@
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -6,10 +7,14 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from dcex import (
+    BenchmarkSpec,
     CommunityState,
     DirectedGraph,
     MoveRejected,
+    generate_benchmark,
+    load_edge_list,
     move_delta,
+    randomize,
     run_chain,
     score,
     symmetrize,
@@ -25,6 +30,7 @@ from dcex.criterion import (
 from dcex.sampler import ChainConfig, ChainConfigError, write_trace_csv
 
 from helpers import (
+    ReuseSpy,
     ScanSpy,
     VisitCounter,
     admissible_subsets,
@@ -485,6 +491,117 @@ class TestRejectionScan:
         _, limit, taken = spy.calls[-1]
         assert taken == limit
         assert (r.stopped, r.steps_run) == ("patience", 2000)
+
+
+FIGURE1_EDGELIST = (
+    Path(__file__).resolve().parent.parent / "data" / "figure1" / "figure1.edgelist"
+)
+
+
+def reused_and_not(g, params, cfg, monkeypatch):
+    """Run the chain keeping no parked memos, then keeping them, with and
+    without an observer; assert that all three agree, event for event, and
+    return the reusing run's :class:`ReuseSpy`, its :class:`ScanSpy` and the
+    number of its scans that began at a step that restored a memo."""
+    keep = sampler._MEMO_STATES
+    monkeypatch.setattr(sampler, "_MEMO_STATES", 0)
+    fresh, fresh_events = run_observed(g, params, cfg)
+    monkeypatch.setattr(sampler, "_MEMO_STATES", keep)
+    assert_same_result(run_chain(g, params, cfg), fresh)
+    reuse, spy = ReuseSpy(monkeypatch), ScanSpy(monkeypatch)
+    events = []
+    at_restore = 0
+    scan = sampler._scan_rejections
+
+    def scan_after(*args):
+        # The last event seen is the accepted step that restored the memo.
+        nonlocal at_restore
+        at_restore += events[-1].accepted and reuse.restored
+        return scan(*args)
+
+    monkeypatch.setattr(sampler, "_scan_rejections", scan_after)
+    reused = run_chain(g, params, cfg, observer=lambda e, state: events.append(e))
+    assert_same_result(reused, fresh)
+    # repr, so a -0.0 in place of a 0.0 would show
+    assert [repr(e) for e in events] == [repr(e) for e in fresh_events]
+    return reuse, spy, at_restore
+
+
+class TestMemoReuse:
+    """A chain that takes a parked memo back gives the chain that keeps none."""
+
+    PARAMS = CriterionParams(rho=0.8, n=5.0)
+
+    @pytest.fixture(scope="class")
+    def figure1_null(self):
+        return randomize(load_edge_list(FIGURE1_EDGELIST), "same_edge_count", 1)
+
+    @pytest.mark.parametrize("hastings", [False, True])
+    def test_figure1_null_graph(self, figure1_null, hastings, monkeypatch):
+        # At c=0.05 most accepted moves undo the one before; the memos they
+        # restore hold outright accepts and often cover the pool at once.
+        cfg = ChainConfig(c=0.05, seed=0, max_steps=20000, patience=10000,
+                          hastings_corrected=hastings)
+        reuse, spy, at_restore = reused_and_not(figure1_null, self.PARAMS, cfg,
+                                                monkeypatch)
+        assert reuse.restores > 0.8 * reuse.calls > 200
+        assert reuse.outright > 100
+        assert at_restore > 50 and spy.steps > 0
+
+    def test_init_members(self, figure1_null, monkeypatch):
+        # The edge 0 -> 17: a start the chain leaves and comes back to.
+        assert 17 in figure1_null.adj_nbrs[0]
+        cfg = ChainConfig(c=0.05, seed=0, max_steps=20000, patience=10000,
+                          init_members=(0, 17))
+        reuse, _, _ = reused_and_not(figure1_null, self.PARAMS, cfg, monkeypatch)
+        assert reuse.restores > 20
+
+    @pytest.mark.parametrize("hastings", [False, True])
+    def test_near_frozen_chain_scans(self, figure1_null, hastings, monkeypatch):
+        # At c=1000 a chain seldom leaves a set it could come back to, but
+        # its long rejection runs are scanned while it parks memos.
+        cfg = ChainConfig(c=1000.0, seed=0, max_steps=20000, patience=10000,
+                          hastings_corrected=hastings)
+        reuse, spy, _ = reused_and_not(figure1_null, self.PARAMS, cfg, monkeypatch)
+        assert reuse.calls > 0 and spy.steps > 0
+
+    def test_planted_graph(self, monkeypatch):
+        g, _ = generate_benchmark(BenchmarkSpec(n1=40, n2=50, n0=410, p1=0.7,
+                                                p2=0.05, seed=3))
+        cfg = ChainConfig(c=0.01, seed=4, max_steps=20000, patience=20000)
+        reuse, _, _ = reused_and_not(g, self.PARAMS, cfg, monkeypatch)
+        assert reuse.restores > 0
+
+    @pytest.mark.parametrize("seed, restores", [(4, 0), (3, 5)])
+    def test_parking_stops_when_it_does_not_pay(self, seed, restores,
+                                                monkeypatch):
+        # On an undirected planted graph at c=0.01 the chain roams and
+        # seldom comes back to a set it left: it stops parking once its
+        # parks that restored nothing reach 256 per restore plus 256.
+        g, _ = generate_benchmark(BenchmarkSpec(n1=40, n2=50, n0=410, p1=0.7,
+                                                p2=0.05, seed=3))
+        g = symmetrize(g)
+        params = CriterionParams(rho=0.8, n=5.0, mode="undirected")
+        cfg = ChainConfig(c=0.01, seed=seed, max_steps=20000, patience=20000)
+        reuse, _, _ = reused_and_not(g, params, cfg, monkeypatch)
+        parks = reuse.calls
+        assert reuse.restores == restores
+        assert parks - restores == sampler._PARK_TRIAL * (restores + 1)
+        assert run_chain(g, params, cfg).accepted > 5 * parks
+
+    def test_float_weights_restore_nothing(self, monkeypatch):
+        g = directed_gnp(40, 0.1, seed=21, float_weights=True)
+        cfg = ChainConfig(c=0.05, seed=3, max_steps=4000, patience=4000)
+        reuse, _, _ = reused_and_not(g, CriterionParams(rho=0.8, n=1.0), cfg,
+                                     monkeypatch)
+        assert reuse.calls == 0
+
+    def test_integer_weights_above_one(self, monkeypatch):
+        g = directed_gnp(40, 0.1, seed=21, max_weight=5)
+        cfg = ChainConfig(c=0.05, seed=3, max_steps=4000, patience=4000)
+        reuse, _, _ = reused_and_not(g, CriterionParams(rho=0.8, n=1.0), cfg,
+                                     monkeypatch)
+        assert reuse.restores > 0
 
 
 @given(st.integers(1, 2**53 - 1))
