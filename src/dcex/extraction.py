@@ -191,6 +191,10 @@ def randomize(g: DirectedGraph, model: str, seed: int) -> DirectedGraph:
     10 * |E| accepted swaps; if the attempt budget runs out first (tiny or
     rigid graphs) the partially rewired graph is returned with the realized
     swap count recorded in ``meta``.
+
+    Cost per graph: ``same_edge_count`` is numpy work, about 0.15 ms at
+    N=200 (E=1869) and 3.5 ms at N=10000 (E=52,718); ``degree_preserving``
+    makes its attempts one by one in Python, about 6.5 ms and 0.33 s.
     """
     rng = np.random.default_rng(seed)
     if model == NULL_SAME_EDGE_COUNT:
@@ -204,7 +208,8 @@ def _randomize_same_edge_count(g, rng) -> DirectedGraph:
     n = g.n_nodes
     m = g.edge_count
     slots = n * (n - 1)
-    picks = sample_without_replacement(slots, m, rng)
+    # Sorted picks give edges in (src, dst) order, which the build takes as is.
+    picks = np.sort(sample_without_replacement(slots, m, rng))
     src = picks // (n - 1) if n > 1 else picks
     rem = picks % (n - 1) if n > 1 else picks
     dst = rem + (rem >= src)
@@ -219,41 +224,54 @@ def _randomize_degree_preserving(g, rng) -> DirectedGraph:
             "degree_preserving randomization needs at least 2 edges"
         )
     n = g.n_nodes
-    src = g.edge_src.tolist()
-    dst = g.edge_dst.tolist()
     # Edge a->b is a*n + b.  Every self-loop key a*n + a is in the set too, so
     # one membership test rejects each swap that would be a no-op (the same
     # edge twice, a == c or b == d: a key of an edge) or make a self-loop
-    # (a == d or c == b: a loop key) or a duplicate edge.
-    eset = set((g.edge_src * n + g.edge_dst).tolist())
+    # (a == d or c == b: a loop key) or a duplicate edge.  A swap keeps each
+    # edge's source, so srcn[i] = a*n is fixed and key[i] follows dst[i].
+    srcn = (g.edge_src * n).tolist()
+    dst = g.edge_dst.tolist()
+    key = (g.edge_src * n + g.edge_dst).tolist()
+    eset = set(key)
     eset.update(range(0, n * n, n + 1))
-    n_edges = len(src)
+    discard, add = eset.discard, eset.add
+    n_edges = len(dst)
     target = 10 * n_edges
     max_attempts = 20 * target
-    accepted = 0
+    todo = target  # swaps still to make
     attempts = 0
-    while accepted < target and attempts < max_attempts:
+    while todo and attempts < max_attempts:
         picks = iter(rng.integers(0, n_edges, size=4096).tolist())
+        block_todo = todo
+        misses = 0
         for ia, ic in islice(zip(picks, picks), max_attempts - attempts):
-            attempts += 1
             # (a->b, c->d) => (a->d, c->b)
-            a, b, c, d = src[ia], dst[ia], src[ic], dst[ic]
-            ad, cb = a * n + d, c * n + b
-            if ad in eset or cb in eset:
+            d = dst[ic]
+            ad = srcn[ia] + d
+            if ad in eset:
+                misses += 1
                 continue
-            eset.discard(a * n + b)
-            eset.discard(c * n + d)
-            eset.add(ad)
-            eset.add(cb)
+            b = dst[ia]
+            cb = srcn[ic] + b
+            if cb in eset:
+                misses += 1
+                continue
+            discard(key[ia])
+            discard(key[ic])
+            add(ad)
+            add(cb)
+            key[ia] = ad
+            key[ic] = cb
             dst[ia] = d
             dst[ic] = b
-            accepted += 1
-            if accepted == target:
+            todo -= 1
+            if not todo:
                 break
+        attempts += block_todo - todo + misses  # the block's accepts and misses
     meta = {
         "null_model": NULL_DEGREE_PRESERVING,
         "target_swaps": target,
-        "accepted_swaps": accepted,
+        "accepted_swaps": target - todo,
         "attempts": attempts,
     }
     return g._with_edges(g.edge_src, dst, g.edge_weight, meta)

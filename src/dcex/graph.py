@@ -33,8 +33,9 @@ class DirectedGraph:
     edge.
 
     One builder makes every instance from edge columns ``(src, dst,
-    weight)``: it validates them, sums duplicates and computes strengths
-    with numpy, and sorts the edges by destination once.
+    weight)``: it validates them, sorts them by (src, dst) unless they come
+    so, sums duplicates and computes strengths with numpy, and sorts the
+    edges by destination once.
     ``DirectedGraph(n_nodes, edges)`` takes ``(src, dst, weight)`` triples;
     :meth:`from_arrays` takes the columns.
 
@@ -106,23 +107,14 @@ class DirectedGraph:
         weight = np.asarray(weight, dtype=np.float64)
         _validate_edges(n_nodes, src, dst, weight, labels)
 
-        # Stable sort by (src, dst), so each group of duplicates keeps its
-        # input order; bincount then sums every group left to right.
-        # (np.add.reduceat would sum long groups pairwise.)  Sorting by dst
-        # and then stably by src gives the same permutation as one stable
-        # sort of the key src * n + dst, and on uint16 ids each pass is a
-        # radix sort, several times faster than sorting int64 keys.
-        if n_nodes <= _RADIX_NODES:
-            by_dst = np.argsort(dst.astype(np.uint16), kind="stable")
-            order = by_dst[np.argsort(src.astype(np.uint16)[by_dst], kind="stable")]
+        keys = src * n_nodes + dst
+        if (keys[1:] > keys[:-1]).all():
+            # Already in (src, dst) order with no duplicates: nothing to sort
+            # or sum.  The copies keep the graph from sharing its columns.
+            columns = src.copy(), dst.copy(), weight.copy()
         else:
-            order = np.argsort(src * n_nodes + dst, kind="stable")
-        src, dst, weight = src[order], dst[order], weight[order]
-        first = np.ones(len(src), dtype=bool)
-        first[1:] = (src[1:] != src[:-1]) | (dst[1:] != dst[:-1])
-        self.edge_src = src[first]
-        self.edge_dst = dst[first]
-        self.edge_weight = _sums(np.cumsum(first) - 1, weight, 0)
+            columns = _sort_and_merge(n_nodes, src, dst, weight, keys)
+        self.edge_src, self.edge_dst, self.edge_weight = columns
         self.edge_count = len(self.edge_src)
         self.total_weight = float(self.edge_weight.sum())
         self.n_nodes = n_nodes
@@ -195,6 +187,26 @@ def _validate_edges(n_nodes, src, dst, weight, labels) -> None:
         name = labels[s] if labels is not None else s
         raise GraphValidationError(f"self-loop at node {name!r}")
     raise GraphValidationError(f"edge ({s}, {d}) has non-positive weight {w}")
+
+
+def _sort_and_merge(n_nodes, src, dst, weight, keys):
+    """Edge columns in (src, dst) order, each duplicate group merged into
+    one edge; ``keys`` is ``src * n_nodes + dst``."""
+    # Stable sort by (src, dst), so each group of duplicates keeps its
+    # input order; bincount then sums every group left to right.
+    # (np.add.reduceat would sum long groups pairwise.)  Sorting by dst
+    # and then stably by src gives the same permutation as one stable
+    # sort of the keys, and on uint16 ids each pass is a radix sort,
+    # several times faster than sorting int64 keys.
+    if n_nodes <= _RADIX_NODES:
+        by_dst = np.argsort(dst.astype(np.uint16), kind="stable")
+        order = by_dst[np.argsort(src.astype(np.uint16)[by_dst], kind="stable")]
+    else:
+        order = np.argsort(keys, kind="stable")
+    src, dst, weight = src[order], dst[order], weight[order]
+    first = np.ones(len(src), dtype=bool)
+    first[1:] = (src[1:] != src[:-1]) | (dst[1:] != dst[:-1])
+    return src[first], dst[first], _sums(np.cumsum(first) - 1, weight, 0)
 
 
 def _sums(index, weight, n) -> np.ndarray:

@@ -205,6 +205,55 @@ def reference_floyd(total: int, count: int, rng) -> np.ndarray:
     return np.array(out, dtype=np.int64)
 
 
+def reference_degree_preserving(g: DirectedGraph, rng) -> tuple[DirectedGraph, Counter]:
+    """Double-edge swaps one attempt at a time: the reference for
+    ``randomize(g, "degree_preserving", seed)`` with
+    ``rng = np.random.default_rng(seed)``, drawing the same numbers.
+
+    Also returns how many attempts each key rejected: ``"ad"`` for the
+    first new edge a->d, ``"cb"`` for the second, c->b.
+    """
+    n = g.n_nodes
+    src = g.edge_src.tolist()
+    dst = g.edge_dst.tolist()
+    eset = set((g.edge_src * n + g.edge_dst).tolist())
+    eset.update(range(0, n * n, n + 1))  # self-loop keys
+    n_edges = len(src)
+    target = 10 * n_edges
+    max_attempts = 20 * target
+    accepted = 0
+    attempts = 0
+    rejected = Counter()
+    while accepted < target and attempts < max_attempts:
+        picks = iter(rng.integers(0, n_edges, size=4096).tolist())
+        for ia, ic in itertools.islice(zip(picks, picks), max_attempts - attempts):
+            attempts += 1
+            a, b, c, d = src[ia], dst[ia], src[ic], dst[ic]
+            ad, cb = a * n + d, c * n + b
+            if ad in eset:
+                rejected["ad"] += 1
+                continue
+            if cb in eset:
+                rejected["cb"] += 1
+                continue
+            eset.discard(a * n + b)
+            eset.discard(c * n + d)
+            eset.add(ad)
+            eset.add(cb)
+            dst[ia] = d
+            dst[ic] = b
+            accepted += 1
+            if accepted == target:
+                break
+    meta = {
+        "null_model": "degree_preserving",
+        "target_swaps": target,
+        "accepted_swaps": accepted,
+        "attempts": attempts,
+    }
+    return g._with_edges(g.edge_src, dst, g.edge_weight, meta), rejected
+
+
 def reference_counts(adj: np.ndarray, members):
     """O_S, B_in, B_out computed by explicit double loops over a dense matrix."""
     members = set(members)
@@ -262,6 +311,16 @@ def directed_gnp(
         weights = rng.integers(1, max_weight + 1, size=len(src)).astype(float)
     edges = [(int(a), int(b), float(w)) for a, b, w in zip(src, dst, weights)]
     return DirectedGraph(n, edges)
+
+
+def rigid_graph():
+    """Complete digraph on 6 nodes less two edges: few swaps exist, so the
+    attempt budget runs out before the swap target is met."""
+    edges = [(a, b) for a in range(6) for b in range(6)
+             if a != b and (a, b) not in ((0, 1), (2, 3))]
+    return DirectedGraph.from_arrays(
+        6, [a for a, _ in edges], [b for _, b in edges], np.ones(len(edges))
+    )
 
 
 def reference_graph(n_nodes: int, edges) -> dict:

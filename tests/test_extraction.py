@@ -1,9 +1,12 @@
 import math
 import multiprocessing
+from collections import Counter
 from contextlib import closing
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from dcex import (
     BenchmarkSpec,
@@ -28,7 +31,13 @@ from dcex.extraction import (
 from dcex.evaluation import adjusted_jaccard
 from dcex.sampler import ChainConfig
 
-from helpers import directed_gnp, edge_multiset, full_null_best_scores
+from helpers import (
+    directed_gnp,
+    edge_multiset,
+    full_null_best_scores,
+    reference_degree_preserving,
+    rigid_graph,
+)
 
 
 def fast_config(seed=0, **overrides):
@@ -171,6 +180,64 @@ class TestRandomizeDegreePreserving:
         g = DirectedGraph(3, [(0, 1, 1.0), (1, 2, 1.0)])
         with pytest.raises(ValueError, match="unknown null model"):
             randomize(g, "shuffle", 0)
+
+
+def swaps_against_reference(g, seeds=range(50)):
+    """Assert that ``randomize`` makes the reference loop's swaps on ``g``
+    for every seed; return the reference's metas and summed rejections."""
+    metas, rejected = [], Counter()
+    for seed in seeds:
+        ref, rej = reference_degree_preserving(g, np.random.default_rng(seed))
+        r = randomize(g, NULL_DEGREE_PRESERVING, seed)
+        for col in ("edge_src", "edge_dst", "edge_weight"):
+            assert getattr(r, col).tobytes() == getattr(ref, col).tobytes()
+        assert r.meta == ref.meta
+        metas.append(ref.meta)
+        rejected += rej
+    return metas, rejected
+
+
+BLOCK_PAIRS = 2048  # attempts drawn per rng.integers block
+
+
+class TestSwapLoopMatchesReference:
+    @pytest.mark.parametrize("float_weights", [False, True])
+    def test_sparse_graph_reaches_its_target_partway_through_a_block(
+            self, float_weights):
+        g = directed_gnp(200, 0.05, seed=2, float_weights=float_weights)
+        metas, _ = swaps_against_reference(g)
+        assert all(m["accepted_swaps"] == m["target_swaps"] for m in metas)
+        assert any(m["attempts"] % BLOCK_PAIRS for m in metas)
+
+    def test_dense_graph_rejects_on_either_new_edge(self):
+        _, rejected = swaps_against_reference(directed_gnp(30, 0.6, seed=4))
+        assert rejected["ad"] > 0 and rejected["cb"] > 0
+
+    def test_two_edge_rigid_graph(self):
+        g = DirectedGraph(3, [(0, 1, 1.0), (1, 2, 1.0)])
+        metas, _ = swaps_against_reference(g)
+        assert all(m["accepted_swaps"] == 0 for m in metas)
+
+    def test_attempt_budget_ends_partway_through_a_block(self):
+        metas, _ = swaps_against_reference(rigid_graph())
+        for m in metas:
+            assert m["attempts"] == 20 * m["target_swaps"]
+            assert m["attempts"] % BLOCK_PAIRS
+            assert 0 < m["accepted_swaps"] < m["target_swaps"]
+
+    @settings(max_examples=100, deadline=None)
+    @given(st.integers(3, 8).flatmap(lambda n: st.tuples(
+        st.just(n),
+        st.sets(st.tuples(st.integers(0, n - 1), st.integers(0, n - 1))
+                .filter(lambda p: p[0] != p[1]), min_size=2),
+        st.integers(0, 2**32 - 1))))
+    def test_random_small_digraphs(self, case):
+        n, pairs, seed = case
+        pairs = sorted(pairs)
+        weight = np.random.default_rng(seed).uniform(0.5, 2.0, size=len(pairs))
+        g = DirectedGraph.from_arrays(
+            n, [a for a, _ in pairs], [b for _, b in pairs], weight)
+        swaps_against_reference(g, seeds=[seed])
 
 
 class TestExtractAll:

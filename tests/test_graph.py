@@ -18,6 +18,7 @@ from dcex import (
     subgraph_complement,
     symmetrize,
 )
+from dcex import graph as graph_module
 from dcex.criterion import CriterionParams
 from dcex.sampler import ChainConfig
 
@@ -282,6 +283,45 @@ class TestArrayBuilderMatchesReference:
         assert kept == ref_kept
         assert sub.n_nodes == len(ref_kept)
         assert_graph_equals_reference(sub, reference_graph(len(ref_kept), ref_edges))
+
+
+class TestSortedColumns:
+    """Columns already in (src, dst) order with no duplicates are taken as
+    they come, without the sort and the duplicate sums."""
+
+    @settings(max_examples=100, deadline=None)
+    @given(float_edge_lists(), st.randoms(use_true_random=False))
+    def test_sorted_and_shuffled_columns_build_the_same_graph(self, case, random):
+        n, edges = case
+        g = DirectedGraph(n, edges)  # duplicates summed
+        columns = (g.edge_src, g.edge_dst, g.edge_weight)
+        order = list(range(g.edge_count))
+        random.shuffle(order)
+        as_sorted = DirectedGraph.from_arrays(n, *columns)
+        shuffled = DirectedGraph.from_arrays(n, *(c[order] for c in columns))
+        for h in (as_sorted, shuffled):
+            assert graph_digest(h) == graph_digest(g)
+            assert ([h.nbr_rows[u] for u in range(n)]
+                    == [g.nbr_rows[u] for u in range(n)])
+        built = (as_sorted.edge_src, as_sorted.edge_dst, as_sorted.edge_weight)
+        assert not any(np.shares_memory(a, b) for a in built for b in columns)
+
+    def test_sorted_builds_skip_the_sort(self, monkeypatch):
+        g = directed_gnp(40, 0.2, seed=5, float_weights=True)
+
+        def fail(*args):
+            raise AssertionError("sorted columns were sorted again")
+
+        monkeypatch.setattr(graph_module, "_sort_and_merge", fail)
+        DirectedGraph.from_arrays(g.n_nodes, g.edge_src, g.edge_dst, g.edge_weight)
+        randomize(g, "same_edge_count", 0)
+        subgraph_complement(g, [3, 17])
+        with pytest.raises(AssertionError, match="sorted again"):
+            DirectedGraph(2, [(1, 0, 1.0), (0, 1, 1.0)])
+
+    def test_sorted_columns_are_validated_in_input_order(self):
+        with pytest.raises(GraphValidationError, match=r"edge \(0, 1\) has non-positive"):
+            DirectedGraph.from_arrays(3, [0, 1], [1, 2], [-1.0, 0.0])
 
 
 class TestSymmetrize:

@@ -30,7 +30,7 @@ from dcex.criterion import CommunityState, CriterionParams
 from dcex.extraction import ExtractionConfig
 from dcex.sampler import ChainConfig
 
-from helpers import ReuseSpy, ScanSpy, directed_gnp
+from helpers import ReuseSpy, ScanSpy, directed_gnp, rigid_graph
 
 FIGURE1_EDGELIST = (
     Path(__file__).resolve().parent.parent / "data" / "figure1" / "figure1.edgelist"
@@ -198,16 +198,6 @@ def dmm_partition_digest():
                                  DmmConfig(target_parts=3)).assignments.items()))
              for seed in range(3)]
     return hashlib.sha256("\n".join(lines).encode()).hexdigest()
-
-
-def rigid_graph():
-    """Complete digraph on 6 nodes less two edges: few swaps exist, so the
-    attempt budget runs out before the swap target is met."""
-    edges = [(a, b) for a in range(6) for b in range(6)
-             if a != b and (a, b) not in ((0, 1), (2, 3))]
-    return DirectedGraph.from_arrays(
-        6, [a for a, _ in edges], [b for _, b in edges], np.ones(len(edges))
-    )
 
 
 NULL_GRAPH_CASES = {
