@@ -90,8 +90,6 @@ def _build_parser() -> argparse.ArgumentParser:
                    help="treat input lines as undirected edges")
     p.add_argument("--rho", type=float, default=0.8)
     p.add_argument("--n", type=float, default=5.0)
-    p.add_argument("--c", type=float, default=1.0)
-    p.add_argument("--seed", type=int, default=0)
     p.add_argument("--restarts", type=int, default=5)
     p.add_argument("--max-communities", type=int, default=10)
     p.add_argument("--null-model", choices=[NULL_SAME_EDGE_COUNT, NULL_DEGREE_PRESERVING],
@@ -99,18 +97,13 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--null-replicates", type=int, default=100,
                    help="0 disables the significance stop rule")
     p.add_argument("--significance-quantile", type=float, default=0.95)
-    p.add_argument("--max-steps", type=int, default=None)
-    p.add_argument("--patience", type=int, default=None)
     p.add_argument("--parts", type=int, default=3, help="dmm: number of parts")
     p.add_argument("--refinement-passes", type=int, default=10)
-    p.add_argument("--jobs", type=int, default=1,
-                   help="worker processes for the null replicates; the report "
-                        "is the same for every value (dce and uce only)")
     p.add_argument("--trace", default=None,
                    help="write a step,W,accepted,size CSV of round 0's first "
                         "restart chain as the run ran it; header only when no "
                         "restart ran (dce and uce only)")
-    p.add_argument("--out", required=True)
+    _add_chain_options(p, c=1.0)
     p.set_defaults(func=_cmd_extract)
 
     p = sub.add_parser("benchmark", help="generate planted benchmark graphs")
@@ -136,30 +129,37 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--n0", type=int, default=410)
     p.add_argument("--methods", default="dce,uce,dmm")
     p.add_argument("--replicates", type=int, default=20)
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--c", type=float, default=0.05)
     p.add_argument("--restarts", type=int, default=5)
-    p.add_argument("--max-steps", type=int, default=None)
-    p.add_argument("--patience", type=int, default=None)
     p.add_argument("--parts", type=int, default=3)
-    p.add_argument("--jobs", type=int, default=1)
-    p.add_argument("--out", required=True)
+    _add_chain_options(p, c=0.05)
     p.set_defaults(func=_cmd_sweep)
 
     p = sub.add_parser("scaling", help="time one-community extraction vs network size")
     p.add_argument("--sizes", default="2000,4000,6000,8000,10000")
     p.add_argument("--replicates", type=int, default=20)
-    p.add_argument("--seed", type=int, default=0)
     p.add_argument("--rho", type=float, default=0.8)
     p.add_argument("--n", type=float, default=5.0)
-    p.add_argument("--c", type=float, default=0.05)
-    p.add_argument("--max-steps", type=int, default=None)
-    p.add_argument("--patience", type=int, default=None)
-    p.add_argument("--jobs", type=int, default=1)
-    p.add_argument("--out", required=True)
+    _add_chain_options(p, c=0.05)
     p.set_defaults(func=_cmd_scaling)
 
     return parser
+
+
+def _add_chain_options(p, c: float) -> None:
+    """Declare the options of a command that runs chains, ``c`` the default
+    inverse temperature.  Each command declares its own actions: a parser
+    shared through ``parents=`` shares them, defaults included."""
+    p.add_argument("--c", type=float, default=c)
+    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--max-steps", type=int, default=None)
+    p.add_argument("--patience", type=int, default=None)
+    p.add_argument("--jobs", type=int, default=1, help="worker processes")
+    p.add_argument("--out", required=True)
+
+
+def _chain_config(args) -> ChainConfig:
+    return ChainConfig(c=args.c, max_steps=args.max_steps,
+                       patience=args.patience, seed=args.seed)
 
 
 def _write_manifest(out_path, command: str, params: dict, seed: int, timings: dict):
@@ -197,8 +197,7 @@ def _cmd_extract(args) -> int:
     else:
         config = ExtractionConfig(
             criterion=CriterionParams(rho=args.rho, n=args.n, mode=MODE_DIRECTED),
-            chain=ChainConfig(c=args.c, max_steps=args.max_steps,
-                              patience=args.patience, seed=args.seed),
+            chain=_chain_config(args),
             restarts=args.restarts,
             max_communities=args.max_communities,
             null_replicates=args.null_replicates,
@@ -323,9 +322,8 @@ def _cmd_sweep(args) -> int:
     if args.replicates < 0:
         raise ValueError("replicates must be >= 0")
 
-    dmm = DmmConfig(target_parts=args.parts) if "dmm" in methods else None
-
-    chain = ChainConfig(c=args.c, max_steps=args.max_steps, patience=args.patience)
+    dmm = DmmConfig(target_parts=args.parts)
+    chain = _chain_config(args)
     tasks = []
     for ci, (rho, n, p1, p2) in enumerate(product(rhos, ns, p1s, p2s)):
         # Both are built, and so validated, even when there are no replicates.
@@ -391,7 +389,7 @@ def _cmd_scaling(args) -> int:
         raise ValueError("replicates must be >= 1")
 
     params = CriterionParams(rho=args.rho, n=args.n, mode=MODE_DIRECTED)
-    chain = ChainConfig(c=args.c, max_steps=args.max_steps, patience=args.patience)
+    chain = _chain_config(args)
     tasks = []
     for si, size in enumerate(sizes):
         for rep in range(args.replicates):

@@ -33,8 +33,9 @@ from dataclasses import dataclass
 MODE_DIRECTED = "directed"
 MODE_UNDIRECTED = "undirected"
 
-# Slack for the admissibility inequality 2|S| < rho*N: values within this
-# tolerance of the boundary count as on it (and are rejected).
+# Slack for the admissibility inequality 2|S| < rho*N, where values within
+# this tolerance of the boundary count as on it (and are rejected), and for
+# the domain bound |S| <= rho*N of score, where they count as inside it.
 _ADM_TOL = 1e-9
 
 
@@ -81,11 +82,6 @@ def is_admissible_size(size: int, n_nodes: int, rho: float) -> bool:
     return size >= 1 and rho * n_nodes - 2.0 * size > _ADM_TOL
 
 
-def is_scorable_size(size: int, n_nodes: int, rho: float) -> bool:
-    """Evaluability: the criterion is finite for 1 <= |S| <= rho*N."""
-    return size >= 1 and rho * n_nodes - size > -_ADM_TOL
-
-
 def max_admissible_size(n_nodes: int, rho: float) -> int:
     """Largest admissible |S| for a graph of n_nodes, or 0 if none exists."""
     k = int(rho * n_nodes / 2.0) + 1
@@ -113,19 +109,6 @@ def value_function(n_nodes, params):
         def value(o_s, b_in, b_out, size):  # q = 1, and 1.0 * x == x
             return (rho_n - size) * o_s / size - (b_in + b_out)
     return value
-
-
-def value_from_counts(o_s, b_in, b_out, size, n_nodes, params) -> float:
-    """W from raw counts; no admissibility check (callers guarantee it)."""
-    return value_function(n_nodes, params)(o_s, b_in, b_out, size)
-
-
-def score_from_counts(o_s, b_in, b_out, size, n_nodes, params) -> Score:
-    return Score(
-        value=value_from_counts(o_s, b_in, b_out, size, n_nodes, params),
-        q_d=q_coefficient(b_in, b_out) if params.mode == MODE_DIRECTED else 1.0,
-        effective_size_term=params.rho * n_nodes - size,
-    )
 
 
 class CommunityState:
@@ -195,13 +178,17 @@ def score(g, state, params: CriterionParams) -> Score:
     """
     if not isinstance(state, CommunityState):
         state = CommunityState.from_members(g, state)
-    if not is_scorable_size(state.size, g.n_nodes, params.rho):
+    effective_size = params.rho * g.n_nodes - state.size
+    if not (state.size >= 1 and effective_size > -_ADM_TOL):
         raise CriterionDomainError(
             f"|S|={state.size} outside the criterion's domain for "
             f"N={g.n_nodes}, rho={params.rho} (need 1 <= |S| <= rho*N)"
         )
-    return score_from_counts(
-        state.o_s, state.b_in, state.b_out, state.size, g.n_nodes, params
+    directed = params.mode == MODE_DIRECTED
+    return Score(
+        value=value_function(g.n_nodes, params)(*state.counts()),
+        q_d=q_coefficient(state.b_in, state.b_out) if directed else 1.0,
+        effective_size_term=effective_size,
     )
 
 

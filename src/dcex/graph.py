@@ -10,6 +10,8 @@ import math
 
 import numpy as np
 
+from .seeding import radix_argsort
+
 
 class GraphError(ValueError):
     """Base class for graph construction and parsing failures."""
@@ -194,15 +196,8 @@ def _sort_and_merge(n_nodes, src, dst, weight, keys):
     one edge; ``keys`` is ``src * n_nodes + dst``."""
     # Stable sort by (src, dst), so each group of duplicates keeps its
     # input order; bincount then sums every group left to right.
-    # (np.add.reduceat would sum long groups pairwise.)  Sorting by dst
-    # and then stably by src gives the same permutation as one stable
-    # sort of the keys, and on uint16 ids each pass is a radix sort,
-    # several times faster than sorting int64 keys.
-    if n_nodes <= _RADIX_NODES:
-        by_dst = np.argsort(dst.astype(np.uint16), kind="stable")
-        order = by_dst[np.argsort(src.astype(np.uint16)[by_dst], kind="stable")]
-    else:
-        order = np.argsort(keys, kind="stable")
+    # (np.add.reduceat would sum long groups pairwise.)
+    order = radix_argsort(keys, n_nodes * n_nodes)
     src, dst, weight = src[order], dst[order], weight[order]
     first = np.ones(len(src), dtype=bool)
     first[1:] = (src[1:] != src[:-1]) | (dst[1:] != dst[:-1])
@@ -215,10 +210,6 @@ def _sums(index, weight, n) -> np.ndarray:
 
 
 _ROW_MAPS = ("adj_nbrs", "nbr_rows")
-
-# Graphs with at most this many nodes sort their node ids as uint16, on
-# which numpy's stable argsort is a radix sort.
-_RADIX_NODES = 1 << 16
 
 
 class _Rows(dict):
@@ -249,8 +240,7 @@ def _row_maps(n, src, dst, weight):
     are sorted by (src, dst).  A stable sort by dst orders the edges by (dst,
     src), so in-neighbours come out sorted too.  No maker holds its own map
     or the graph, so a dropped graph leaves no reference cycle."""
-    by_dst = np.argsort(dst.astype(np.uint16) if n <= _RADIX_NODES else dst,
-                        kind="stable")
+    by_dst = radix_argsort(dst, n)
     out_at, in_at = _offsets(src, n), _offsets(dst, n)
     node = list(range(n)).__getitem__  # one int object per node
     floats = _Rows(lambda _: weight.tolist())  # floats[0]: one float per edge
@@ -360,12 +350,11 @@ def save_edge_list(g: DirectedGraph, path) -> None:
 
 def symmetrize(g: DirectedGraph) -> DirectedGraph:
     """Direction-blind companion graph with A'[i, j] = A[i, j] + A[j, i]."""
-    return DirectedGraph.from_arrays(
-        g.n_nodes,
+    return g._with_edges(
         np.concatenate([g.edge_src, g.edge_dst]),
         np.concatenate([g.edge_dst, g.edge_src]),
         np.concatenate([g.edge_weight, g.edge_weight]),
-        labels=g.labels,
+        None,
     )
 
 

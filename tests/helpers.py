@@ -14,7 +14,13 @@ import numpy as np
 
 from dcex import DirectedGraph, derive_seed, max_admissible_size, sampler
 from dcex.baselines import _leading_eigenvector
-from dcex.criterion import CommunityState, score_from_counts, value_from_counts
+from dcex.criterion import (
+    MODE_DIRECTED,
+    CommunityState,
+    Score,
+    q_coefficient,
+    value_function,
+)
 from dcex.extraction import _exceedance_limit, _one_null_score
 
 
@@ -97,13 +103,20 @@ def brute_force_optimum(g: DirectedGraph, params, max_n: int = 20):
     best_w = -math.inf
     best_members = None
     best_counts = None
+    value = value_function(n, params)
     for combo, counts in admissible_subsets(g, params):
-        w = value_from_counts(*counts, n, params)
+        w = value(*counts)
         if w > best_w or (w == best_w and combo < best_members):
             best_w = w
             best_members = combo
             best_counts = counts
-    return best_members, score_from_counts(*best_counts, n, params)
+    _, b_in, b_out, size = best_counts
+    directed = params.mode == MODE_DIRECTED
+    return best_members, Score(
+        value=best_w,
+        q_d=q_coefficient(b_in, b_out) if directed else 1.0,
+        effective_size_term=params.rho * n - size,
+    )
 
 
 class VisitCounter:

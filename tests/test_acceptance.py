@@ -30,7 +30,7 @@ from dcex.criterion import (
     is_admissible_size,
     move_delta,
     q_coefficient,
-    value_from_counts,
+    value_function,
 )
 from dcex.evaluation import best_pair_adjusted_jaccard
 from dcex.extraction import ExtractionConfig
@@ -95,9 +95,7 @@ def test_criterion_2_incremental_correctness():
     t0 = time.perf_counter()
     checked = 0
     for g, params, state, u, direction in _walk_states():
-        w_before = value_from_counts(
-            state.o_s, state.b_in, state.b_out, state.size, g.n_nodes, params
-        )
+        w_before = value_function(g.n_nodes, params)(*state.counts())
         delta, new_counts = move_delta(g, state, u, direction, params)
         # involution: inverting the move restores the counts bit for bit
         inverse = "remove" if direction == "add" else "add"
@@ -110,9 +108,7 @@ def test_criterion_2_incremental_correctness():
         state.apply_move(u, direction, new_counts)
         fresh = CommunityState.from_members(g, state.members)
         assert fresh.counts() == state.counts()
-        w_after = value_from_counts(
-            fresh.o_s, fresh.b_in, fresh.b_out, fresh.size, g.n_nodes, params
-        )
+        w_after = value_function(g.n_nodes, params)(*fresh.counts())
         assert abs(delta - (w_after - w_before)) <= 1e-9
         checked += 1
     assert checked == 100_000

@@ -5,7 +5,7 @@ from pathlib import Path
 import pytest
 
 from dcex import derive_seed, load_edge_list, run_chain, symmetrize
-from dcex.cli import main
+from dcex.cli import _build_parser, main
 from dcex.criterion import MODE_UNDIRECTED, CriterionParams
 from dcex.sampler import ChainConfig, write_trace_csv
 
@@ -315,10 +315,13 @@ class TestSweepCommand:
                                         **{"--methods": "dce,bogus"})) == 2
 
     def test_bad_parts_exits_2_before_any_work(self, tmp_path, capsys):
-        out = tmp_path / "x.csv"
-        assert run_cli(*self.sweep_args(out, **{"--parts": 1})) == 2
-        assert "target_parts must be >= 2" in capsys.readouterr().err
-        assert not out.exists()
+        # Whether or not a method is dmm.
+        for methods in ("dce,dmm", "dce"):
+            out = tmp_path / f"{methods}.csv"
+            args = self.sweep_args(out, **{"--methods": methods, "--parts": 1})
+            assert run_cli(*args) == 2
+            assert "target_parts must be >= 2" in capsys.readouterr().err
+            assert not out.exists()
 
     def test_failed_rows_are_kept_and_exit_1(self, tmp_path, capsys, monkeypatch):
         def broken(graph, config):
@@ -402,6 +405,18 @@ class TestScalingCommand:
                        "--out", tmp_path / "x.csv") == 2
         assert run_cli("scaling", "--sizes", "10",
                        "--out", tmp_path / "y.csv") == 2
+
+
+class TestChainOptionDefaults:
+    @pytest.mark.parametrize("argv, c", [
+        (["extract", "--graph", "g.edgelist", "--out", "r.json"], 1.0),
+        (["sweep", "--out", "s.csv"], 0.05),
+        (["scaling", "--out", "s.csv"], 0.05),
+    ])
+    def test_each_command_keeps_its_own_defaults(self, argv, c):
+        args = _build_parser().parse_args(argv)
+        assert (args.c, args.seed, args.max_steps, args.patience, args.jobs) == (
+            c, 0, None, None, 1)
 
 
 class TestVersionFlag:

@@ -8,13 +8,11 @@ from dcex.criterion import (
     CriterionParams,
     MoveRejected,
     is_admissible_size,
-    is_scorable_size,
     max_admissible_size,
     move_delta,
     q_coefficient,
     score,
-    score_from_counts,
-    value_from_counts,
+    value_function,
 )
 
 from helpers import (
@@ -92,13 +90,12 @@ class TestDirectionCoefficient:
         params = CriterionParams(rho=0.9, n=3.0)
         b_total = 12.0
         values = []
+        value = value_function(30, params)
         for b_in in np.linspace(0.0, 6.0, 13):  # up to the balanced point
-            values.append(
-                value_from_counts(10.0, b_in, b_total - b_in, 4, 30, params)
-            )
+            values.append(value(10.0, b_in, b_total - b_in, 4))
         assert values == sorted(values, reverse=True)
-        one_sided = value_from_counts(10.0, 0.0, b_total, 4, 30, params)
-        balanced = value_from_counts(10.0, b_total / 2, b_total / 2, 4, 30, params)
+        one_sided = value(10.0, 0.0, b_total, 4)
+        balanced = value(10.0, b_total / 2, b_total / 2, 4)
         assert one_sided > balanced
 
     def test_undirected_mode_and_n_zero_agree_with_plain_form(self):
@@ -150,11 +147,17 @@ class TestAdmissibility:
 
     def test_scorable_extends_to_rho_n(self):
         # The criterion value is finite up to |S| = rho*N.
-        assert is_scorable_size(3, 6, 1.0)
-        assert is_scorable_size(6, 6, 1.0)
-        assert not is_scorable_size(7, 6, 1.0)
-        assert is_scorable_size(40, 50, 0.8)
-        assert not is_scorable_size(41, 50, 0.8)
+        params = CriterionParams(rho=1.0)
+        g = DirectedGraph(6, [])
+        score(g, range(3), params)
+        score(g, range(6), params)
+        seven = CommunityState(set(), bytearray(6), 7, 0.0, 0.0, 0.0)
+        with pytest.raises(CriterionDomainError):
+            score(g, seven, params)
+        g = DirectedGraph(50, [])
+        score(g, range(40), CriterionParams(rho=0.8))
+        with pytest.raises(CriterionDomainError):
+            score(g, range(41), CriterionParams(rho=0.8))
 
     def test_score_on_boundary_state(self):
         # 2|S|/N == rho exactly: still evaluable (chains just never go there).
@@ -209,17 +212,14 @@ class TestMoveDelta:
         total = 0
         for seed in range(6):
             g = directed_gnp(10 + 8 * seed, 0.25, seed=seed, max_weight=3)
+            value = value_function(g.n_nodes, params)
             for state, u, direction in random_move_sequence(g, params, 600, seed):
-                w_before = value_from_counts(
-                    state.o_s, state.b_in, state.b_out, state.size, g.n_nodes, params
-                )
+                w_before = value(*state.counts())
                 delta, new_counts = move_delta(g, state, u, direction, params)
                 state.apply_move(u, direction, new_counts)
                 fresh = CommunityState.from_members(g, state.members)
                 assert fresh.counts() == state.counts()
-                w_after = value_from_counts(
-                    fresh.o_s, fresh.b_in, fresh.b_out, fresh.size, g.n_nodes, params
-                )
+                w_after = value(*fresh.counts())
                 assert delta == pytest.approx(w_after - w_before, abs=1e-9)
                 total += 1
         assert total > 2000
@@ -236,16 +236,13 @@ class TestMoveDelta:
             for a, b in zip(src, dst)
         ]
         g = DirectedGraph(n, edges)
+        value = value_function(n, params)
         for state, u, direction in random_move_sequence(g, params, 3000, 7):
-            w_before = value_from_counts(
-                state.o_s, state.b_in, state.b_out, state.size, g.n_nodes, params
-            )
+            w_before = value(*state.counts())
             delta, new_counts = move_delta(g, state, u, direction, params)
             state.apply_move(u, direction, new_counts)
             fresh = CommunityState.from_members(g, state.members)
-            w_after = value_from_counts(
-                fresh.o_s, fresh.b_in, fresh.b_out, fresh.size, g.n_nodes, params
-            )
+            w_after = value(*fresh.counts())
             # real weights drift by float accumulation; relative bound
             assert delta == pytest.approx(w_after - w_before, rel=1e-9, abs=1e-9)
 
@@ -302,11 +299,12 @@ class TestScoreFromCounts:
         # q == 1 must not perturb the penalty term for any exponent.
         for n_exp in (0.0, 1.0, 2.5, 8.0):
             params = CriterionParams(rho=1.0, n=n_exp)
-            v = value_from_counts(4.0, 0.0, 3.0, 2, 10, params)
+            v = value_function(10, params)(4.0, 0.0, 3.0, 2)
             assert v == (10.0 - 2) * 4.0 / 2 - 3.0
 
     def test_score_object_fields(self):
-        s = score_from_counts(6.0, 1.0, 3.0, 3, 20, CriterionParams(rho=0.5, n=2.0))
+        state = CommunityState({0, 1, 2}, bytearray(20), 3, 6.0, 1.0, 3.0)
+        s = score(DirectedGraph(20, []), state, CriterionParams(rho=0.5, n=2.0))
         assert s.effective_size_term == pytest.approx(0.5 * 20 - 3)
         assert s.q_d == pytest.approx(5.0 / 3.0)
         assert s.value == pytest.approx(7.0 * 2.0 - (5.0 / 3.0) ** 2 * 4.0)

@@ -252,7 +252,7 @@ class TestArrayBuilderMatchesReference:
 
     @pytest.mark.parametrize("n", [1 << 16, 70000])
     def test_wide_node_ids(self, n):
-        # Ids up to 65535 are sorted as uint16; more nodes sort int64 keys.
+        # Past 65,536 nodes a (src, dst) key needs a third 16-bit radix pass.
         rng = np.random.default_rng(n)
         ends = rng.integers(0, n, size=(3000, 2))
         ends[:40] = rng.choice([0, 65534, 65535, n - 1], size=(40, 2))

@@ -25,7 +25,7 @@ from dcex.criterion import (
     counts_after_move,
     is_admissible_size,
     max_admissible_size,
-    value_from_counts,
+    value_function,
 )
 from dcex.sampler import ChainConfig, ChainConfigError, write_trace_csv
 
@@ -250,7 +250,7 @@ class ReferenceDeltas:
                     move_delta(*args)
             return
         ref, counts = move_delta(*args)
-        w = value_from_counts(*self.mirror.counts(), self.g.n_nodes, self.params)
+        w = value_function(self.g.n_nodes, self.params)(*self.mirror.counts())
         scale = max(self.g.total_weight, abs(w), abs(w + ref))
         assert abs(event.delta - ref) <= self.rel_tol * scale, (event, ref)
         if event.accepted:
@@ -650,8 +650,9 @@ class TestFrequencyRanking:
 
 
 def _exact_top_subsets(g, params, k):
+    value = value_function(g.n_nodes, params)
     scored = [
-        (frozenset(members), value_from_counts(*counts, g.n_nodes, params))
+        (frozenset(members), value(*counts))
         for members, counts in admissible_subsets(g, params)
     ]
     return sorted(scored, key=lambda kv: -kv[1])[:k]
@@ -737,7 +738,7 @@ class TestTrace:
         seen = []
 
         def observe(event, state):
-            w = value_from_counts(*state.counts(), g.n_nodes, PARAMS_N1)
+            w = value_function(g.n_nodes, PARAMS_N1)(*state.counts())
             seen.append((event.step, event.size, event.w, state.size, w))
 
         r = run_chain(g, PARAMS_N1, cfg, observer=observe)

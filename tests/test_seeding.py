@@ -3,7 +3,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from dcex.seeding import sample_without_replacement
+from dcex.seeding import radix_argsort, sample_without_replacement
 
 from helpers import reference_floyd
 
@@ -51,3 +51,29 @@ class TestSampleWithoutReplacement:
     def test_impossible_count_rejected(self, total, count):
         with pytest.raises(ValueError, match="distinct"):
             sample_without_replacement(total, count, np.random.default_rng(0))
+
+
+# Bounds around each 16-bit pass boundary, up to the bound of the (src, dst)
+# keys of a graph of 2**20 nodes.
+RADIX_BOUNDS = [1, 2**16 - 1, 2**16, 2**16 + 1, 2**32 - 1, 2**32 + 1, 2**40]
+
+
+@st.composite
+def ids_and_bounds(draw):
+    bound = draw(st.sampled_from(RADIX_BOUNDS) | st.integers(1, 2**40))
+    edge = st.sampled_from([0, bound - 1]) | st.integers(0, bound - 1)
+    pool = np.array(draw(st.lists(edge, min_size=1, max_size=20)))  # ids repeat
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    return rng.choice(pool, size=draw(st.integers(0, 2000))), bound
+
+
+class TestRadixArgsort:
+    @settings(max_examples=300, deadline=None)
+    @given(ids_and_bounds())
+    @example((np.array([], dtype=np.int64), 1))
+    @example((np.array([], dtype=np.int64), 2**40))
+    @example((np.array([2**40 - 1, 0, 2**40 - 1, 2**32, 0]), 2**40))
+    def test_matches_stable_argsort(self, case):
+        ids, bound = case
+        assert np.array_equal(radix_argsort(ids, bound),
+                              np.argsort(ids, kind="stable"))
