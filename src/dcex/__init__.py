@@ -8,7 +8,7 @@ significance stop rule.
 """
 
 from .baselines import DmmConfig, run_dmm, run_uce
-from .benchmark import BenchmarkSpec, GroundTruth, figure1_spec
+from .benchmark import BenchmarkSpec, GroundTruth
 from .benchmark import generate as generate_benchmark
 from .criterion import (
     CommunityState,
@@ -82,7 +82,6 @@ __all__ = [
     "derive_seed",
     "empirical_p_value",
     "extract_all",
-    "figure1_spec",
     "generate_benchmark",
     "is_admissible_size",
     "jaccard",

@@ -77,11 +77,6 @@ class GroundTruth:
                 fh.write(f"{i} {c}\n")
 
 
-def figure1_spec(seed: int = 0) -> BenchmarkSpec:
-    """The 50-node illustration setting: 10 + 10 planted nodes, 30 background."""
-    return BenchmarkSpec(n1=10, n2=10, n0=30, p1=0.7, p2=0.1, seed=seed)
-
-
 def generate(
     spec: BenchmarkSpec, figure1_variant: bool = False
 ) -> tuple[DirectedGraph, GroundTruth]:

@@ -185,13 +185,14 @@ def _cmd_extract(args) -> int:
         raise ValueError("--trace needs --method dce or uce: dmm runs no chain")
     if args.jobs < 1:
         raise ValueError("jobs must be >= 1")
+    dmm = DmmConfig(args.parts, args.refinement_passes)
     g = load_edge_list(args.graph, directed=not args.undirected)
     t_load = time.perf_counter() - t0
 
     timings = {"load_s": t_load}
     t1 = time.perf_counter()
     if args.method == "dmm":
-        labels = run_dmm(g, DmmConfig(args.parts, args.refinement_passes))
+        labels = run_dmm(g, dmm)
         assignments = {g.label_of(u): cid for u, cid in labels.assignments.items()}
         save_membership(assignments, args.out)
     else:

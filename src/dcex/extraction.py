@@ -15,7 +15,7 @@ import math
 from collections.abc import Iterator
 from concurrent.futures import ProcessPoolExecutor
 from contextlib import closing
-from dataclasses import asdict, dataclass, replace
+from dataclasses import asdict, dataclass
 from functools import partial
 from itertools import islice
 from statistics import median
@@ -24,7 +24,7 @@ import numpy as np
 
 from .criterion import CriterionParams, Score, max_admissible_size
 from .graph import DirectedGraph, GraphValidationError, subgraph_complement
-from .sampler import ChainConfig, run_chain
+from .sampler import ChainConfig, search
 from .seeding import derive_seed, sample_without_replacement
 
 NULL_SAME_EDGE_COUNT = "same_edge_count"
@@ -291,13 +291,14 @@ def extract_all(
     ``chain_observer(round_idx, restart)`` gives each restart chain, in order and
     in this process, its ``run_chain`` observer or None; nulls go unobserved.
 
-    Null-replicate chains run with restarts=1 and the same budget as the
-    observed chains; for a calibrated p-value use ``restarts=1`` on the
-    observed side as well.  Null replicates are scored in seed order and a
-    round's null phase stops once its rejection is certain and
-    min(R, ceil(1/(1-q))) nulls have run, so a rejected round runs only
-    the nulls up to that point; the report is the same as if all of them
-    had run, since only accepted rounds report their nulls, and an
+    Both sides of the significance test run :func:`dcex.sampler.search`, the
+    observed side with one seed per restart and each null replicate with
+    one, at the same chain budget; for a calibrated p-value use
+    ``restarts=1`` on the observed side as well.  Null replicates are scored
+    in seed order and a round's null phase stops once its rejection is
+    certain and min(R, ceil(1/(1-q))) nulls have run, so a rejected round
+    runs only the nulls up to that point; the report is the same as if all
+    of them had run, since only accepted rounds report their nulls, and an
     accepted round runs all ``null_replicates``.
     """
     if g.n_nodes == 0:
@@ -318,25 +319,11 @@ def extract_all(
             reason = STOP_GRAPH_EXHAUSTED
             break
 
-        best = None
-        best_members = None
-        for k in range(config.restarts):
-            cc = replace(
-                config.chain, seed=derive_seed(master, round_idx, _TAG_RESTART, k)
-            )
-            observer = chain_observer(round_idx, k) if chain_observer else None
-            result = run_chain(residual, config.criterion, cc, observer)
-            members = tuple(sorted(result.best_state.members))
-            if (
-                best is None
-                or result.best_score.value > best.best_score.value
-                or (
-                    result.best_score.value == best.best_score.value
-                    and members < best_members
-                )
-            ):
-                best = result
-                best_members = members
+        best, members_resid = search(
+            residual, config.criterion, config.chain,
+            [derive_seed(master, round_idx, _TAG_RESTART, k)
+             for k in range(config.restarts)],
+            partial(chain_observer, round_idx) if chain_observer else None)
         observed = best.best_score.value
 
         null_scores: list[float] = []
@@ -349,7 +336,6 @@ def extract_all(
                 break
             empirical_p = empirical_p_value(observed, null_scores)
 
-        members_resid = sorted(best.best_state.members)
         members_orig = [orig_ids[u] for u in members_resid]
         communities.append(
             ExtractedCommunity(
@@ -386,8 +372,8 @@ def _one_null_score(residual, config, seeds) -> float:
     """Randomize + chase one null replicate; module-level for pickling."""
     graph_seed, chain_seed = seeds
     ng = _null_graph(residual, config.null_model, graph_seed)
-    nc = replace(config.chain, seed=chain_seed)
-    return run_chain(ng, config.criterion, nc).best_score.value
+    best, _ = search(ng, config.criterion, config.chain, [chain_seed])
+    return best.best_score.value
 
 
 def _null_best_scores(

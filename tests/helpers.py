@@ -12,7 +12,13 @@ from collections import Counter
 
 import numpy as np
 
-from dcex import DirectedGraph, derive_seed, max_admissible_size, sampler
+from dcex import (
+    BenchmarkSpec,
+    DirectedGraph,
+    derive_seed,
+    max_admissible_size,
+    sampler,
+)
 from dcex.baselines import _leading_eigenvector
 from dcex.criterion import (
     MODE_DIRECTED,
@@ -414,6 +420,11 @@ def _typed(value):
     if isinstance(value, tuple):
         return tuple, [_typed(v) for v in value]
     return type(value), value
+
+
+def figure1_spec(seed: int = 0) -> BenchmarkSpec:
+    """The 50-node illustration setting: 10 + 10 planted nodes, 30 background."""
+    return BenchmarkSpec(n1=10, n2=10, n0=30, p1=0.7, p2=0.1, seed=seed)
 
 
 def two_cliques_graph() -> DirectedGraph:

@@ -18,7 +18,6 @@ from dcex import (
     BenchmarkSpec,
     derive_seed,
     extract_all,
-    figure1_spec,
     generate_benchmark,
     run_chain,
 )
@@ -36,7 +35,7 @@ from dcex.evaluation import best_pair_adjusted_jaccard
 from dcex.extraction import ExtractionConfig
 from dcex.sampler import ChainConfig
 
-from helpers import brute_force_optimum, copy_state, directed_gnp
+from helpers import brute_force_optimum, copy_state, directed_gnp, figure1_spec
 
 
 def report(criterion, detail):

@@ -3,9 +3,9 @@ import math
 import numpy as np
 import pytest
 
-from dcex import BenchmarkSpec, figure1_spec, generate_benchmark
+from dcex import BenchmarkSpec, generate_benchmark
 
-from helpers import edge_multiset
+from helpers import edge_multiset, figure1_spec
 
 
 def orientation_violations(g, truth):

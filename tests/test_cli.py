@@ -203,6 +203,21 @@ class TestExtractCommand:
         assert "jobs must be >= 1" in capsys.readouterr().err
         assert not out.exists()
 
+    @pytest.mark.parametrize("option, value, message", [
+        ("--parts", 1, "target_parts must be >= 2"),
+        ("--refinement-passes", -1, "refinement_passes must be >= 0"),
+    ])
+    @pytest.mark.parametrize("method", ["dce", "uce", "dmm"])
+    def test_bad_dmm_option_exits_2_before_any_work(self, tmp_path, capsys,
+                                                    method, option, value,
+                                                    message):
+        # Whether or not the method is dmm, as in sweep.
+        out = tmp_path / "r.json"
+        args = self.extract_args(out, **{"--method": method, option: value})
+        assert run_cli(*args) == 2
+        assert message in capsys.readouterr().err
+        assert not out.exists()
+
 
 class TestBenchmarkCommand:
     def test_generates_replicate_files(self, tmp_path):

@@ -1,4 +1,6 @@
+import itertools
 import math
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -687,6 +689,25 @@ class TestStopping:
                       ChainConfig(c=0.01, seed=2, max_steps=777, patience=777))
         assert r.stopped == "max_steps"
         assert r.steps_run == 777
+
+
+class TestSearch:
+    # Seeds 0 and 6 end on optimal 4-subsets of different cliques, which tie
+    # at W = -27; seed 1 ends on a single node.
+    CHAIN = ChainConfig(c=0.5, max_steps=5000, patience=5000)
+
+    def test_equal_w_goes_to_the_smaller_member_tuple(self):
+        g = two_cliques_graph()
+        ends = {seed: run_chain(g, PARAMS_N1, replace(self.CHAIN, seed=seed))
+                for seed in (0, 1, 6)}
+        assert tuple(sorted(ends[0].best_state.members)) == (5, 6, 7, 8)
+        assert tuple(sorted(ends[6].best_state.members)) == (0, 1, 2, 4)
+        assert ends[0].best_score.value == ends[6].best_score.value == -27.0
+        assert ends[1].best_score.value < -27.0
+        for seeds in itertools.permutations((0, 1, 6)):
+            best, members = sampler.search(g, PARAMS_N1, self.CHAIN, seeds)
+            assert members == (0, 1, 2, 4)
+            assert_same_result(best, ends[6])
 
 
 class TestConfigValidation:
