@@ -185,8 +185,20 @@ def _cmd_extract(args) -> int:
         raise ValueError("--trace needs --method dce or uce: dmm runs no chain")
     if args.jobs < 1:
         raise ValueError("jobs must be >= 1")
+    # Every option is checked, whatever the method, before the graph loads.
     dmm = DmmConfig(args.parts, args.refinement_passes)
+    config = ExtractionConfig(
+        criterion=CriterionParams(rho=args.rho, n=args.n, mode=MODE_DIRECTED),
+        chain=_chain_config(args),
+        restarts=args.restarts,
+        max_communities=args.max_communities,
+        null_replicates=args.null_replicates,
+        null_model=args.null_model,
+        significance_quantile=args.significance_quantile,
+    )
     g = load_edge_list(args.graph, directed=not args.undirected)
+    if g.edge_count == 0:
+        raise ValueError(f"{args.graph}: no edges")
     t_load = time.perf_counter() - t0
 
     timings = {"load_s": t_load}
@@ -196,15 +208,6 @@ def _cmd_extract(args) -> int:
         assignments = {g.label_of(u): cid for u, cid in labels.assignments.items()}
         save_membership(assignments, args.out)
     else:
-        config = ExtractionConfig(
-            criterion=CriterionParams(rho=args.rho, n=args.n, mode=MODE_DIRECTED),
-            chain=_chain_config(args),
-            restarts=args.restarts,
-            max_communities=args.max_communities,
-            null_replicates=args.null_replicates,
-            null_model=args.null_model,
-            significance_quantile=args.significance_quantile,
-        )
         events = []
 
         def first_restart(round_idx, restart):
@@ -322,6 +325,9 @@ def _cmd_sweep(args) -> int:
             raise ValueError(f"unknown method {m!r}")
     if args.replicates < 0:
         raise ValueError("replicates must be >= 0")
+    # Every row scores against both planted communities.
+    if min(args.n1, args.n2) < 1:
+        raise ValueError("--n1 and --n2 must be >= 1")
 
     dmm = DmmConfig(target_parts=args.parts)
     chain = _chain_config(args)

@@ -28,6 +28,7 @@ scratch as the reference for the sampler's deltas.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 MODE_DIRECTED = "directed"
@@ -53,7 +54,8 @@ class MoveRejected(Exception):
 
 @dataclass(frozen=True)
 class CriterionParams:
-    """Criterion configuration: rho in (0, 1], penalty exponent n >= 0, mode."""
+    """Criterion configuration: rho in (0, 1], a finite penalty exponent
+    n >= 0, and the mode."""
 
     rho: float = 0.8
     n: float = 5.0
@@ -62,8 +64,9 @@ class CriterionParams:
     def __post_init__(self):
         if not (0.0 < self.rho <= 1.0):
             raise ValueError(f"rho must be in (0, 1], got {self.rho}")
-        if not self.n >= 0:  # also rejects NaN
-            raise ValueError(f"penalty exponent n must be >= 0, got {self.n}")
+        if not 0 <= self.n < math.inf:  # also rejects NaN
+            raise ValueError(
+                f"penalty exponent n must be finite and >= 0, got {self.n}")
         if self.mode not in (MODE_DIRECTED, MODE_UNDIRECTED):
             raise ValueError(f"unknown mode {self.mode!r}")
 

@@ -1,4 +1,4 @@
-"""Metropolis-Hastings subset sampler targeting exp(c * W(S)).
+"""Metropolis-Hastings subset sampler targeting approximately exp(c * W(S)).
 
 At each step a node u is drawn uniformly from the proposal pool: the current
 subset together with every node adjacent to it by an edge in either
@@ -6,10 +6,11 @@ direction.  If u is a member its removal is proposed, otherwise its
 addition, and the move is accepted with probability min[1, exp(c * dW)].
 Moves that would leave the admissible domain count as rejections.
 
-The plain ratio ignores the changing pool size, so the stationary law is
-only approximately proportional to exp(c * W); ``hastings_corrected``
-multiplies the ratio by |pool(S)| / |pool(S')| to make it exact on the
-reachable state space.
+The ratio ignores the pool's size, which changes from S to S', so the
+proposal is not symmetric and the stationary law is only approximately
+proportional to exp(c * W).  ``tests/test_sampler.py::TestStationaryLaw``
+checks the chain against the exact stationary law of this kernel, solved
+from its transition matrix on small graphs.
 
 Each node keeps its edge weight to and from S, so a proposal costs O(1), and
 a proposal repeated from an unchanged subset is one lookup.  An accepted move
@@ -67,6 +68,10 @@ class ChainConfigError(ValueError):
 class ChainConfig:
     """Sampler configuration.
 
+    ``c`` is the inverse temperature, positive and finite.  The chain's
+    stationary law is only approximately proportional to exp(c * W); see
+    the module docstring.
+
     ``max_steps`` and ``patience`` default (when None) to 200*N and 20*N for
     a graph of N nodes.  ``init_members`` of None seeds the chain at a
     uniformly random single node.  Per-step diagnostics are not configured
@@ -78,11 +83,10 @@ class ChainConfig:
     patience: int | None = None
     seed: int = 0
     init_members: tuple[int, ...] | None = None
-    hastings_corrected: bool = False
 
     def __post_init__(self):
-        if not self.c > 0:  # also rejects NaN
-            raise ChainConfigError(f"c must be positive, got {self.c}")
+        if not 0 < self.c < math.inf:  # also rejects NaN
+            raise ChainConfigError(f"c must be positive and finite, got {self.c}")
         if self.max_steps is not None and self.max_steps < 1:
             raise ChainConfigError("max_steps must be >= 1")
         if self.patience is not None and self.patience < 1:
@@ -102,7 +106,7 @@ class StepEvent(NamedTuple):
     node: int
     direction: str
     delta: float | None  # None for automatic rejections (inadmissible move)
-    log_ratio: float | None
+    log_ratio: float | None  # c * delta
     uniform: float | None  # acceptance draw; None when none was consumed
     accepted: bool
     size: int  # |S| after the step
@@ -254,10 +258,9 @@ def run_chain(
             from_s[v] += b
 
     c = config.c
-    hastings = config.hastings_corrected
     items = pool.items
     out_strength, in_strength = g.out_strength, g.in_strength
-    exp, log = math.exp, math.log
+    exp = math.exp
     scan_min = _SCAN_MIN
     # Uniform draws: a numpy block, read by index from its list copy.
     block = rng.random(_RNG_BLOCK)
@@ -314,9 +317,7 @@ def run_chain(
         else:
             if in_set[u]:
                 direction = "remove"
-                # With the correction, a u with no edge to the rest of S stays,
-                # as re-adding it could then never be proposed (detailed balance).
-                auto_reject = state.size == 1 or (hastings and cov[u] == 0)
+                auto_reject = state.size == 1
             else:
                 direction = "add"
                 auto_reject = state.size >= top
@@ -328,9 +329,6 @@ def run_chain(
                 w_new = value(*new_counts)
                 delta = w_new - w_cur
                 log_ratio = c * delta
-                if hastings:
-                    log_ratio += log(pool_len / _pool_size_after(
-                        u, direction, pool_len, cov, in_set, rows[u][0]))
                 # The acceptance bar; None when the move is accepted outright.
                 bar = None if log_ratio >= 0 else exp(log_ratio)
             memo[u] = (direction, new_counts, w_new, delta, log_ratio, bar)
@@ -538,22 +536,6 @@ def _reuse(parked, key, counts):
     if got is not None and got[0] == counts:
         return got[1]
     return {}
-
-
-def _pool_size_after(u, direction, pool_len, cov, in_set, nbrs):
-    """Size of the proposal pool if u's move were applied (for the correction)."""
-    size = pool_len
-    if direction == "add":
-        for v in nbrs:
-            if cov[v] == 0 and not in_set[v]:
-                size += 1
-    else:
-        for v in nbrs:
-            if cov[v] == 1 and not in_set[v] and v != u:
-                size -= 1
-        if cov[u] == 0:
-            size -= 1
-    return size
 
 
 def write_trace_csv(events, path) -> None:

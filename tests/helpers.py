@@ -125,6 +125,41 @@ def brute_force_optimum(g: DirectedGraph, params, max_n: int = 20):
     )
 
 
+def exact_chain_law(g: DirectedGraph, params, c: float) -> dict[frozenset, float]:
+    """Stationary law of the sampler's kernel over every admissible subset.
+
+    The kernel is built from the dense adjacency, not from the neighbour
+    rows the chain reads: the pool of S is S with every in- and
+    out-neighbour of a member, and each pool node is proposed with
+    probability 1/|pool|.
+    Proposing a member proposes its removal, which is rejected for the last
+    member; proposing any other node proposes its addition, which is
+    rejected at the largest admissible size.  Every other move is accepted
+    with probability min(1, exp(c * dW)).  Returns ``{subset: probability}``
+    from solving pi P = pi with the probabilities summing to 1.
+    """
+    adj = dense_adj(g)
+    linked = (adj + adj.T) > 0
+    value = value_function(g.n_nodes, params)
+    w = {frozenset(members): value(*counts)
+         for members, counts in admissible_subsets(g, params)}
+    index = {s: i for i, s in enumerate(w)}
+    p = np.zeros((len(w), len(w)))
+    for s, i in index.items():
+        pool = set(s).union(*(np.flatnonzero(linked[u]).tolist() for u in s))
+        for u in pool:
+            t = s - {u} if u in s else s | {u}
+            if t in index:  # neither the last member nor past the top size
+                p[i, index[t]] = math.exp(min(0.0, c * (w[t] - w[s]))) / len(pool)
+        p[i, i] = 1.0 - p[i].sum()
+    # pi (P - I) = 0 with one equation traded for sum(pi) = 1.
+    a = p.T - np.eye(len(w))
+    a[-1] = 1.0
+    b = np.zeros(len(w))
+    b[-1] = 1.0
+    return dict(zip(w, np.linalg.solve(a, b)))
+
+
 class VisitCounter:
     """Chain observer counting how many steps end in each subset."""
 
@@ -133,10 +168,6 @@ class VisitCounter:
 
     def __call__(self, event, state) -> None:
         self.counts[frozenset(state.members)] += 1
-
-    def ranked(self) -> list[frozenset]:
-        """Visited subsets, most frequent first (ties in first-visit order)."""
-        return [s for s, _ in self.counts.most_common()]
 
 
 class ScanSpy:

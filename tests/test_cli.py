@@ -218,6 +218,32 @@ class TestExtractCommand:
         assert message in capsys.readouterr().err
         assert not out.exists()
 
+    @pytest.mark.parametrize("option, message", [
+        pytest.param("--c", "c must be positive and finite", id="c"),
+        pytest.param("--n", "penalty exponent n must be finite", id="n"),
+    ])
+    @pytest.mark.parametrize("method", ["dce", "uce", "dmm"])
+    def test_infinite_option_exits_2_before_any_work(self, tmp_path, capsys,
+                                                     method, option, message):
+        # An infinite value would be written to the report as Infinity,
+        # which is not JSON.
+        out = tmp_path / "r.json"
+        args = self.extract_args(out, **{"--method": method, option: "inf"})
+        assert run_cli(*args) == 2
+        assert message in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("method", ["dce", "uce", "dmm"])
+    def test_edge_list_with_no_edges_exits_2(self, tmp_path, capsys, method):
+        graph = tmp_path / "empty.edgelist"
+        graph.write_text("# a comment and no edge\n\n")
+        out = tmp_path / "r.out"
+        code = run_cli("extract", "--graph", graph, "--method", method,
+                       "--out", out)
+        assert code == 2
+        assert f"{graph}: no edges" in capsys.readouterr().err
+        assert not out.exists()
+
 
 class TestBenchmarkCommand:
     def test_generates_replicate_files(self, tmp_path):
@@ -337,6 +363,20 @@ class TestSweepCommand:
             assert run_cli(*args) == 2
             assert "target_parts must be >= 2" in capsys.readouterr().err
             assert not out.exists()
+
+    @pytest.mark.parametrize("option", ["--n1", "--n2"])
+    def test_empty_planted_community_exits_2_before_any_work(
+            self, tmp_path, capsys, monkeypatch, option):
+        # Every row scores against both planted communities, so a sweep
+        # with an empty one could only fail every row.
+        def refuse(*args, **kwargs):
+            raise AssertionError("the sweep generated a graph")
+
+        monkeypatch.setattr("dcex.cli.generate", refuse)
+        out = tmp_path / "x.csv"
+        assert run_cli(*self.sweep_args(out, **{option: 0})) == 2
+        assert "--n1 and --n2 must be >= 1" in capsys.readouterr().err
+        assert not out.exists()
 
     def test_failed_rows_are_kept_and_exit_1(self, tmp_path, capsys, monkeypatch):
         def broken(graph, config):

@@ -186,7 +186,9 @@ class TestAdmissibility:
     def test_nan_exponent_rejected(self):
         with pytest.raises(ValueError, match="penalty exponent"):
             CriterionParams(n=float("nan"))
-        assert CriterionParams(n=float("inf")).n == float("inf")
+        # An infinite n makes q^n infinite for every q > 1.
+        with pytest.raises(ValueError, match="penalty exponent n must be finite"):
+            CriterionParams(n=float("inf"))
 
 
 def random_move_sequence(g, params, n_moves, seed):
