@@ -169,6 +169,10 @@ class VisitCounter:
     def __call__(self, event, state) -> None:
         self.counts[frozenset(state.members)] += 1
 
+    def ranked(self) -> list[frozenset]:
+        """Visited subsets, most frequent first (ties in first-visit order)."""
+        return [s for s, _ in self.counts.most_common()]
+
 
 class ScanSpy:
     """Wraps ``sampler._scan_rejections`` and records, for each call, the

@@ -35,6 +35,7 @@ from helpers import (
     ReuseSpy,
     ScanSpy,
     VisitCounter,
+    admissible_subsets,
     brute_force_optimum,
     directed_gnp,
     exact_chain_law,
@@ -43,6 +44,10 @@ from helpers import (
 
 
 PARAMS_N1 = CriterionParams(rho=1.0, n=1.0)
+
+# Case ids ending in "False" name the plain Metropolis kernel: they keep the
+# names these cases had when the suite also ran a kernel that weighed its
+# acceptance ratio by pool sizes.
 
 
 def mini_community_graph(extra, boundary=((0, 3), (1, 4))):
@@ -258,7 +263,10 @@ class ReferenceDeltas:
 
 
 class TestIncrementalCounts:
-    @pytest.mark.parametrize("mode", ["directed", "undirected"])
+    @pytest.mark.parametrize("mode", [
+        pytest.param("directed", id="False"),
+        pytest.param("undirected", id="undirected-False"),
+    ])
     @settings(max_examples=10, deadline=None, derandomize=True)
     @given(
         g=float_weighted_graphs(),
@@ -304,7 +312,8 @@ class TestIncrementalCounts:
 
 
 class TestReferenceDeltas:
-    @pytest.mark.parametrize("mode", ["directed", "undirected"])
+    @pytest.mark.parametrize("mode", ["directed", "undirected"],
+                             ids=["directed-False", "undirected-False"])
     @pytest.mark.parametrize("seed", [0, 1])
     def test_unit_weights_match_exactly(self, mode, seed):
         g = directed_gnp(60, 0.08, seed=30 + seed)
@@ -454,8 +463,8 @@ class TestRejectionScan:
         assert pos > 2 * sampler._RNG_BLOCK
 
     @pytest.mark.parametrize("max_steps, patience, stopped", [
-        (30000, 3000, "patience"),
-        (3000, 3000, "max_steps"),
+        pytest.param(30000, 3000, "patience", id="30000-3000-patience-False"),
+        pytest.param(3000, 3000, "max_steps", id="3000-3000-max_steps-False"),
     ])
     def test_cap_inside_a_scan(self, max_steps, patience, stopped, monkeypatch):
         g = directed_gnp(40, 0.1, seed=21)
@@ -594,16 +603,20 @@ def test_a_pool_position_draw_stays_below_the_pool_size(size):
     assert int((np.array([np.nextafter(1.0, 0.0)]) * size).astype(np.intp)[0]) < size
 
 
+# Edges added to mini_community_graph's background cycle.
+MINI_EXTRAS = pytest.mark.parametrize(
+    "extra",
+    [
+        [(4, 7, 1.0)],
+        [(3, 6, 1.0)],
+        [(4, 7, 1.0), (4, 8, 1.0)],
+    ],
+    ids=["bg-shortcut-4-7", "bg-shortcut-3-6", "two-shortcuts"],
+)
+
+
 class TestStationaryLaw:
-    @pytest.mark.parametrize(
-        "extra",
-        [
-            [(4, 7, 1.0)],
-            [(3, 6, 1.0)],
-            [(4, 7, 1.0), (4, 8, 1.0)],
-        ],
-        ids=["bg-shortcut-4-7", "bg-shortcut-3-6", "two-shortcuts"],
-    )
+    @MINI_EXTRAS
     def test_visit_frequencies_match_the_exact_law(self, extra):
         # Every subset of up to 4 of the 9 nodes is admissible at rho=1, so
         # the law has 255 states.  The total-variation distance reads
@@ -624,12 +637,35 @@ class TestStationaryLaw:
 
 
 class TestFrequencyRanking:
+    @MINI_EXTRAS
+    def test_long_run_frequencies_rank_top3_by_w(self, extra):
+        # The graphs have distinct, mutually adjacent top-3 subsets (the
+        # planted triangle and two one-node extensions), so a chain seeded
+        # in that basin visits them in the order of their W.
+        g = mini_community_graph(extra)
+        top3 = _exact_top_subsets(g, PARAMS_N1, 3)
+        assert len({w for _, w in top3}) == 3, "test graphs must have distinct top-3"
+        cfg = ChainConfig(c=0.7, seed=11, max_steps=1_000_000,
+                          patience=1_000_000, init_members=(0,))
+        visits = VisitCounter()
+        run_chain(g, PARAMS_N1, cfg, observer=visits)
+        assert visits.ranked()[:3] == [s for s, _ in top3]
+
     def test_frequency_counts_bounded_by_steps(self):
         g = mini_community_graph([(4, 7, 1.0)])
         cfg = ChainConfig(c=0.5, seed=7, max_steps=5000, patience=5000)
         visits = VisitCounter()
         r = run_chain(g, PARAMS_N1, cfg, observer=visits)
         assert sum(visits.counts.values()) == r.steps_run
+
+
+def _exact_top_subsets(g, params, k):
+    value = value_function(g.n_nodes, params)
+    scored = [
+        (frozenset(members), value(*counts))
+        for members, counts in admissible_subsets(g, params)
+    ]
+    return sorted(scored, key=lambda kv: -kv[1])[:k]
 
 
 class TestStopping:
