@@ -14,14 +14,18 @@ from its transition matrix on small graphs.
 
 Each node keeps its edge weight to and from S, so a proposal costs O(1), and
 a proposal repeated from an unchanged subset is one lookup.  An accepted move
-walks the moved node's merged neighbour row once and starts a new memo.  On a
-graph of integer weights every sum is exact, so a memo depends on S alone:
-the chain keeps those of the last subsets it left, keyed by a Zobrist hash
-of S (Zobrist 1970), and an accepted move that returns to one of them takes
-its memo back.  Once every pool node has been proposed from the current
-subset and none is accepted outright, nothing a proposal reads can change
-until a move is accepted, so a run of rejections expected to go on is taken
-in numpy from the same uniform draws, up to the next accepted step.
+walks the moved node's merged neighbour row once, updating those weights and
+the pool, and starts a new memo.  On a graph of integer weights totalling
+below 2**53 every sum is exact: a node's two weights fall back to exactly 0.0
+when its last neighbour in S leaves, so they are the pool-membership test and
+no count of adjacent members is kept; on other graphs a count is kept.  Exact
+sums also make a memo depend on S alone: the chain keeps those of the last
+subsets it left, keyed by a Zobrist hash of S (Zobrist 1970), and an accepted
+move that returns to one of them takes its memo back.  Once every pool node
+has been proposed from the current subset and none is accepted outright,
+nothing a proposal reads can change until a move is accepted, so a run of
+rejections expected to go on is taken in numpy from the same uniform draws,
+up to the next accepted step.
 """
 
 from __future__ import annotations
@@ -181,13 +185,16 @@ def run_chain(
     ratio and acceptance bar (it still draws its own uniform); an accepted
     move walks its node's merged row once, in O(degree), and starts a new
     memo.  When every edge weight is an integer and the total weight is below
-    2**53, all counts and pool weights are exact sums, so a memo made at S
-    holds on any later visit to S: the memos of the ``_MEMO_STATES`` subsets
-    left last are parked under a Zobrist key of S, and a move back to one of
-    them restores its memo when the parked counts equal the new ones.  A
-    chain stops parking once its parks that restored nothing reach
-    ``_PARK_TRIAL`` times one more than its restores (256 parks when it
-    restores none).
+    2**53 (:func:`_exact_sums`), all counts and pool weights are exact sums.
+    Then a node outside S is in the pool exactly when its weight to or from S
+    is nonzero, and the walk keeps no count of the members adjacent to each
+    node; on other graphs it keeps that count, since a sum may not fall back
+    to 0.0.  Exact sums also mean that a memo made at S holds on any later
+    visit to S: the memos of the ``_MEMO_STATES`` subsets left last are
+    parked under a Zobrist key of S, and a move back to one of them restores
+    its memo when the parked counts equal the new ones.  A chain stops
+    parking once its parks that restored nothing reach ``_PARK_TRIAL`` times
+    one more than its restores (256 parks when it restores none).
     When the memo covers the whole pool, holds no outright accept, and the
     mean acceptance bar says the run of rejections should last at least
     ``_SCAN_MIN`` more steps, the run is taken in numpy
@@ -238,13 +245,18 @@ def run_chain(
 
     max_steps, patience = resolve_budget(config, n)
 
-    # Proposal pool: S plus every node adjacent to S (either direction);
-    # cov[v] counts members adjacent to v.  to_s[v] and from_s[v] are the
-    # weights from v into S and from S into v, so a proposal costs O(1).
-    # Starting from u or moving it walks u's merged row once: each neighbour
-    # v with the weights a of v -> u and b of u -> v (0.0 where no edge is).
+    # Proposal pool: S plus every node adjacent to S (either direction).
+    # to_s[v] and from_s[v] are the weights from v into S and from S into v,
+    # so a proposal costs O(1).  Starting from u or moving it walks u's
+    # merged row once: each neighbour v with the weights a of v -> u and b of
+    # u -> v (0.0 where no edge is).  Weights are positive, so a node outside
+    # S is in the pool iff it has a weight to or from S; when the sums are
+    # exact, they fall back to exactly 0.0 as its last neighbour in S leaves
+    # and are the pool test.  Otherwise they may not, and cov[v] counts the
+    # members adjacent to v.
+    exact = _exact_sums(g)
     pool = _IndexedSet(n)
-    cov = [0] * n
+    cov = None if exact else [0] * n
     to_s = [0.0] * n
     from_s = [0.0] * n
     rows = g.nbr_rows
@@ -252,7 +264,8 @@ def run_chain(
     for u in state.members:
         pool.add(u)
         for v, a, b in zip(*rows[u]):
-            cov[v] += 1
+            if cov is not None:
+                cov[v] += 1
             pool.add(v)
             to_s[v] += a
             from_s[v] += b
@@ -280,8 +293,6 @@ def run_chain(
     # memo), where a subset's key is the XOR of its nodes' Zobrist words.
     # With float weights (x + w) - w may differ from x, so a returning
     # subset's counts may not be those its memo was made with: keep none.
-    weights = g.edge_weight
-    exact = g.total_weight < 2**53 and not np.any(weights != np.floor(weights))
     keep = _MEMO_STATES if exact else 0
     parked = {}
     trial = _PARK_TRIAL  # parks left before parking stops; a restore adds more
@@ -362,7 +373,24 @@ def run_chain(
                 memo.clear()
             state.apply_move(u, direction, new_counts)
             w_cur = w_new
-            if direction == "add":
+            if exact:
+                if direction == "add":
+                    for v, a, b in zip(*rows[u]):
+                        t = to_s[v]
+                        f = from_s[v]
+                        if not (t or f) and not in_set[v]:
+                            pool.add(v)
+                        to_s[v] = t + a
+                        from_s[v] = f + b
+                else:
+                    for v, a, b in zip(*rows[u]):
+                        t = to_s[v] = to_s[v] - a
+                        f = from_s[v] = from_s[v] - b
+                        if not (t or f) and not in_set[v]:
+                            pool.discard(v)
+                    if not (to_s[u] or from_s[u]):
+                        pool.discard(u)
+            elif direction == "add":
                 for v, a, b in zip(*rows[u]):
                     if cov[v] == 0 and not in_set[v]:
                         pool.add(v)
@@ -527,6 +555,13 @@ def _scan_rejections(rng, block, pos, bars, limit, keep):
         if t < room or taken == limit:
             return taken, block, pos, picks
         window = min(4 * window, _SCAN_WINDOW_MAX)
+
+
+def _exact_sums(g) -> bool:
+    """Whether every sum of ``g``'s edge weights is exact in floats: every
+    weight is an integer and the total weight is below 2**53."""
+    weights = g.edge_weight
+    return g.total_weight < 2**53 and not np.any(weights != np.floor(weights))
 
 
 def _reuse(parked, key, counts):

@@ -219,6 +219,25 @@ class ReuseSpy:
         monkeypatch.setattr(sampler, "_reuse", spy)
 
 
+class PoolSpy:
+    """Replaces ``sampler._IndexedSet`` with a subclass that records each
+    instance, so ``pools[-1]`` is the proposal pool of the chain that runs
+    last; an observer reads it live."""
+
+    def __init__(self, monkeypatch):
+        self.pools: list = []
+        pools = self.pools
+
+        class Recorded(sampler._IndexedSet):
+            __slots__ = ()
+
+            def __init__(self, capacity):
+                super().__init__(capacity)
+                pools.append(self)
+
+        monkeypatch.setattr(sampler, "_IndexedSet", Recorded)
+
+
 def is_significant(observed: float, null_scores, quantile: float) -> bool:
     """Whether the empirical p-value is at most ``1 - quantile``."""
     exceed = sum(1 for v in null_scores if v >= observed)

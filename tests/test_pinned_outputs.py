@@ -8,9 +8,11 @@ rows on first read, (the UCE report) before an accepted move walked one
 merged neighbour row, (the subset counts and DMM partitions) before every
 reader took a node's edges from its merged row, and (all of them) before
 long runs of rejections were taken in numpy and before a chain took back
-the memo of a subset it returned to; any change to the
-events, the RNG stream, the reports, the null graphs, the counts or the
-partitions shows here.
+the memo of a subset it returned to; all of them, and the ``int5`` chain
+cases (integer weights up to 5), were recorded before a chain on a graph
+of exact weight sums dropped its count of adjacent members and read pool
+membership off those sums.  Any change to the events, the RNG stream, the
+reports, the null graphs, the counts or the partitions shows here.
 """
 
 import hashlib
@@ -36,7 +38,7 @@ FIGURE1_EDGELIST = (
     Path(__file__).resolve().parent.parent / "data" / "figure1" / "figure1.edgelist"
 )
 
-CHAIN_CASES = list(product(["directed", "undirected"], ["unit", "float"],
+CHAIN_CASES = list(product(["directed", "undirected"], ["unit", "float", "int5"],
                            [0.05, 1000.0]))
 
 CHAIN_DIGESTS = {
@@ -56,6 +58,14 @@ CHAIN_DIGESTS = {
         "637b074e7edcf23250fb1badca6990e7c874d13aece8803c4244c87846f48358",
     ("undirected", "float", 1000.0):
         "85043a8f3ae60cac6c08a3ca3f32d348e5fdf0144d93ca3ef355361025d41387",
+    ("directed", "int5", 0.05):
+        "5741c7cc988815b75702b582341c696eb6b756edfc046c3f8b5c5d0373bb8d4f",
+    ("directed", "int5", 1000.0):
+        "e9ff7dd073dc6534aff32c925ed90932c155f340407f551125e5a971149a4355",
+    ("undirected", "int5", 0.05):
+        "7112c1ae6952487004e36fabc55878edd25873a22deb077db65fdf582844c173",
+    ("undirected", "int5", 1000.0):
+        "d094b722d66f804f5833ebbe4acf728b0e47b2c937eee9f7ac2929a95a380b28",
 }
 
 EXTRACT_REPORT_DIGEST = (
@@ -97,7 +107,8 @@ NULL_GRAPH_DIGESTS = {
 
 def chain_digest(mode, weights, c):
     """sha256 of every StepEvent of one chain, then its result."""
-    g = directed_gnp(40, 0.1, seed=21, float_weights=weights == "float")
+    g = directed_gnp(40, 0.1, seed=21, max_weight=5 if weights == "int5" else 1,
+                     float_weights=weights == "float")
     if mode == "undirected":
         g = symmetrize(g)
     params = CriterionParams(rho=0.8, n=1.0, mode=mode)

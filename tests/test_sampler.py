@@ -32,6 +32,7 @@ from dcex.criterion import (
 from dcex.sampler import ChainConfig, ChainConfigError, write_trace_csv
 
 from helpers import (
+    PoolSpy,
     ReuseSpy,
     ScanSpy,
     VisitCounter,
@@ -493,6 +494,56 @@ FIGURE1_EDGELIST = (
 )
 
 
+def int5_graph():
+    return directed_gnp(40, 0.1, seed=21, max_weight=5)
+
+
+def reweighted(g, weight):
+    return DirectedGraph.from_arrays(g.n_nodes, g.edge_src, g.edge_dst, weight)
+
+
+def one_half():
+    g = int5_graph()
+    weight = g.edge_weight.copy()
+    weight[7] = 0.5
+    return reweighted(g, weight)
+
+
+def heavy_total(total):
+    """The unit graph and, on a path of three new nodes apart from it, two
+    integer edges: one of 2**52 and one that brings the total to ``total``."""
+    g = directed_gnp(40, 0.1, seed=21)
+    n = g.n_nodes
+    rest = total - 2**52 - g.edge_count
+    graph = DirectedGraph.from_arrays(
+        n + 3, np.append(g.edge_src, [n, n + 1]),
+        np.append(g.edge_dst, [n + 1, n + 2]),
+        np.append(g.edge_weight, [2.0**52, rest]))
+    assert graph.total_weight == total
+    return graph
+
+
+def drifting_graph():
+    """The unit graph's edges with weights drawn from {0.1, 0.2, 0.3, 0.7}:
+    a sum of them taken apart in another order may not fall back to 0.0."""
+    g = directed_gnp(40, 0.1, seed=21)
+    weight = np.random.default_rng(21).choice([0.1, 0.2, 0.3, 0.7],
+                                               size=g.edge_count)
+    return reweighted(g, weight)
+
+
+# graph maker, criterion mode, whether its weight sums are exact
+EXACT_SUMS_CASES = {
+    "unit": (lambda: directed_gnp(40, 0.1, seed=21), "directed", True),
+    "int5": (int5_graph, "directed", True),
+    "int5-symmetrized": (lambda: symmetrize(int5_graph()), "undirected", True),
+    "one-weight-0.5": (one_half, "directed", False),
+    "integer-total-2**53": (lambda: heavy_total(2**53), "directed", False),
+    "integer-total-2**53-1": (lambda: heavy_total(2**53 - 1), "directed", True),
+    "float-drifting": (drifting_graph, "directed", False),
+}
+
+
 def reused_and_not(g, params, cfg, monkeypatch):
     """Run the chain keeping no parked memos, then keeping them, with and
     without an observer; assert that all three agree, event for event, and
@@ -593,6 +644,71 @@ class TestMemoReuse:
         reuse, _, _ = reused_and_not(g, CriterionParams(rho=0.8, n=1.0), cfg,
                                      monkeypatch)
         assert reuse.restores > 0
+
+    @pytest.mark.parametrize("case", sorted(EXACT_SUMS_CASES))
+    def test_parks_where_the_sums_are_exact(self, case, monkeypatch):
+        # The rule that sets parking also picks the pool walk.
+        make, mode, exact = EXACT_SUMS_CASES[case]
+        g = make()
+        assert sampler._exact_sums(g) is exact
+        # Node 0 is on the graph the heavy edges are kept apart from.
+        cfg = ChainConfig(c=0.05, seed=3, max_steps=4000, patience=4000,
+                          init_members=(0,))
+        reuse, _, _ = reused_and_not(
+            g, CriterionParams(rho=0.8, n=1.0, mode=mode), cfg, monkeypatch)
+        assert (reuse.calls > 0) is exact
+
+
+def pool_trace(g, params, cfg, monkeypatch):
+    """Run an observed chain; return its events and the steps after which
+    its proposal pool was not S plus every node adjacent to S, worked out
+    from the edge columns."""
+    spy = PoolSpy(monkeypatch)
+    nbrs = [set() for _ in range(g.n_nodes)]
+    for a, b in zip(g.edge_src.tolist(), g.edge_dst.tolist()):
+        nbrs[a].add(b)
+        nbrs[b].add(a)
+    events, wrong = [], []
+
+    def observer(event, state):
+        events.append(event)
+        members = set(state.members)
+        if set(spy.pools[-1].items) != members.union(*(nbrs[u] for u in members)):
+            wrong.append(event.step)
+
+    run_chain(g, params, cfg, observer)
+    return events, wrong
+
+
+class TestPoolInvariant:
+    """After every step the proposal pool is S plus every node adjacent to
+    S, whichever walk keeps it: the weight sums on graphs whose sums are
+    exact, a count of adjacent members otherwise."""
+
+    CFG = ChainConfig(c=0.05, seed=3, max_steps=4000, patience=4000)
+
+    @pytest.mark.parametrize("case", ["unit", "int5", "int5-symmetrized",
+                                      "float-drifting"])
+    def test_pool_is_s_and_its_neighbours(self, case, monkeypatch):
+        make, mode, exact = EXACT_SUMS_CASES[case]
+        g = make()
+        params = CriterionParams(rho=0.8, n=1.0, mode=mode)
+        assert sampler._exact_sums(g) is exact
+        events, wrong = pool_trace(g, params, self.CFG, monkeypatch)
+        assert wrong == [] and sum(e.accepted for e in events) > 100
+        if exact:  # the counting walk gives the same chain
+            monkeypatch.setattr(sampler, "_exact_sums", lambda g: False)
+            counted, wrong = pool_trace(g, params, self.CFG, monkeypatch)
+            # repr, so a -0.0 in place of a 0.0 would show
+            assert wrong == [] and list(map(repr, counted)) == list(map(repr, events))
+
+    def test_sum_walk_breaks_it_where_sums_round(self, monkeypatch):
+        # The sum walk taken on rounding sums leaves nodes in the pool whose
+        # last neighbour in S has left: the invariant test sees it.
+        monkeypatch.setattr(sampler, "_exact_sums", lambda g: True)
+        _, wrong = pool_trace(drifting_graph(), CriterionParams(rho=0.8, n=1.0),
+                              self.CFG, monkeypatch)
+        assert wrong
 
 
 @given(st.integers(1, 2**53 - 1))
