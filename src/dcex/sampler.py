@@ -19,9 +19,9 @@ the pool, and starts a new memo.  On a graph of integer weights totalling
 below 2**53 every sum is exact: a node's two weights fall back to exactly 0.0
 when its last neighbour in S leaves, so they are the pool-membership test and
 no count of adjacent members is kept; on other graphs a count is kept.  Exact
-sums also make a memo depend on S alone: the chain keeps those of the last
-subsets it left, keyed by a Zobrist hash of S (Zobrist 1970), and an accepted
-move that returns to one of them takes its memo back.  Once every pool node
+sums also make a memo depend on S alone: the chain keeps the memo of the
+subset its last accepted move left, and an accepted move of the same node,
+which goes back to that subset, takes it back.  Once every pool node
 has been proposed from the current subset and none is accepted outright,
 nothing a proposal reads can change until a move is accepted, so a run of
 rejections expected to go on is taken in numpy from the same uniform draws,
@@ -53,15 +53,6 @@ _SCAN_MIN = 64
 # _SCAN_WINDOW_MAX, which bounds the scan's temporary arrays.
 _SCAN_WINDOW = 256
 _SCAN_WINDOW_MAX = 4096
-# Memos of the subsets a chain left most recently that it keeps for a return,
-# on graphs where a memo depends on the subset alone (integer weights).
-_MEMO_STATES = 16
-# A chain parks no more once it has parked this many memos more than this
-# many times the memos it took back: with none taken back, after 256 parks.
-_PARK_TRIAL = 256
-# Seed of the Zobrist words that key the parked memos; a generator apart
-# from the chain's, so no chain draw moves.
-_KEY_SEED = 0x5EED_2B0B
 
 
 class ChainConfigError(ValueError):
@@ -190,11 +181,9 @@ def run_chain(
     is nonzero, and the walk keeps no count of the members adjacent to each
     node; on other graphs it keeps that count, since a sum may not fall back
     to 0.0.  Exact sums also mean that a memo made at S holds on any later
-    visit to S: the memos of the ``_MEMO_STATES`` subsets left last are
-    parked under a Zobrist key of S, and a move back to one of them restores
-    its memo when the parked counts equal the new ones.  A chain stops
-    parking once its parks that restored nothing reach ``_PARK_TRIAL`` times
-    one more than its restores (256 parks when it restores none).
+    visit to S: an accepted move keeps the memo of the subset it left, and
+    the next accepted move swaps it back in when it moves the same node,
+    undoing the last move; any other accepted move starts a new memo.
     When the memo covers the whole pool, holds no outright accept, and the
     mean acceptance bar says the run of rejections should last at least
     ``_SCAN_MIN`` more steps, the run is taken in numpy
@@ -252,8 +241,8 @@ def run_chain(
     # u -> v (0.0 where no edge is).  Weights are positive, so a node outside
     # S is in the pool iff it has a weight to or from S; when the sums are
     # exact, they fall back to exactly 0.0 as its last neighbour in S leaves
-    # and are the pool test.  Otherwise they may not, and cov[v] counts the
-    # members adjacent to v.
+    # and are the pool test, and a memo made at S holds on a return to S.
+    # Otherwise they may not, and cov[v] counts the members adjacent to v.
     exact = _exact_sums(g)
     pool = _IndexedSet(n)
     cov = None if exact else [0] * n
@@ -289,22 +278,11 @@ def run_chain(
     # What proposing each node from the current state gives; S and
     # everything a proposal reads change only on an accepted move.
     memo = {}
-    # The memos of the subsets left last, oldest first, as key -> (counts,
-    # memo), where a subset's key is the XOR of its nodes' Zobrist words.
-    # With float weights (x + w) - w may differ from x, so a returning
-    # subset's counts may not be those its memo was made with: keep none.
-    keep = _MEMO_STATES if exact else 0
-    parked = {}
-    trial = _PARK_TRIAL  # parks left before parking stops; a restore adds more
-    if keep:
-        # Read with .item(): a list of n Python ints would add about 1 MB
-        # to the peak RSS at N=10000.
-        words = np.random.default_rng(_KEY_SEED).integers(
-            0, 2**64, size=n, dtype=np.uint64)
-        key = 0
-        for v in state.members:
-            key ^= words.item(v)
-        counts = state.counts()  # of the current subset
+    # The memo of the subset the last accepted move left, and the node that
+    # move moved: moving it again goes back to that subset.  With float
+    # weights (x + w) - w may differ from x, so the subset gone back to may
+    # not have the counts the memo was made with: keep none.
+    undo, moved = {}, -1
 
     pool_len = len(items)  # changes only on an accepted move
     while step < max_steps:
@@ -355,22 +333,13 @@ def run_chain(
         if accept:
             accepted += 1
             scan = True
-            if keep:
-                parked[key] = (counts, memo)
-                counts = new_counts
-                if len(parked) > keep:
-                    del parked[next(iter(parked))]
-                key ^= words.item(u)
-                memo = _reuse(parked, key, new_counts)
-                if memo:
-                    trial += _PARK_TRIAL
-                else:
-                    trial -= 1
-                    if trial == 0:  # parking has not paid: stop
-                        keep = 0
-                        parked.clear()
-            else:
+            if not exact:
                 memo.clear()
+            elif u == moved:
+                memo, undo = undo, memo
+            else:
+                memo, undo = {}, memo
+            moved = u
             state.apply_move(u, direction, new_counts)
             w_cur = w_new
             if exact:
@@ -559,18 +528,10 @@ def _scan_rejections(rng, block, pos, bars, limit, keep):
 
 def _exact_sums(g) -> bool:
     """Whether every sum of ``g``'s edge weights is exact in floats: every
-    weight is an integer and the total weight is below 2**53."""
+    weight is an integer and the total weight is below 2**53.  Then a chain
+    reads pool membership off its weight sums and keeps an undo memo."""
     weights = g.edge_weight
     return g.total_weight < 2**53 and not np.any(weights != np.floor(weights))
-
-
-def _reuse(parked, key, counts):
-    """The memo parked under ``key``, taken out, if it was made at ``counts``;
-    else a new one.  The counts also guard against a colliding key."""
-    got = parked.pop(key, None)
-    if got is not None and got[0] == counts:
-        return got[1]
-    return {}
 
 
 def write_trace_csv(events, path) -> None:

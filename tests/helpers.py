@@ -189,34 +189,58 @@ class ScanSpy:
 
         monkeypatch.setattr(sampler, "_scan_rejections", spy)
 
-    @property
-    def steps(self) -> int:
-        return sum(taken for _, _, taken in self.calls)
 
-
-class ReuseSpy:
-    """Wraps ``sampler._reuse``, which a chain calls once per accepted move
-    while it parks memos, and counts those calls, the memos they restored
-    and those restored memos that held an outright accept (an entry with no
-    acceptance bar and a delta).  ``restored`` tells whether the last call
-    restored a memo."""
+class MemoSpy:
+    """Chain observer that also wraps ``sampler.counts_after_move``, which a
+    chain calls for each proposal it evaluates rather than looks up in its
+    memo, and ``sampler._scan_rejections``.  ``events`` holds every step's
+    event, ``evaluated`` whether that step called ``counts_after_move`` and
+    ``scans`` each scan's ``(step it began after, steps it took)``."""
 
     def __init__(self, monkeypatch):
-        self.calls = self.restores = self.outright = 0
-        self.restored = False
-        reuse = sampler._reuse
+        self.events, self.evaluated, self.scans = [], [], []
+        self.calls = self._seen = 0
+        count, scan = sampler.counts_after_move, sampler._scan_rejections
 
-        def spy(parked, key, counts):
-            memo = reuse(parked, key, counts)
+        def count_spy(*args):
             self.calls += 1
-            self.restored = bool(memo)
-            if memo:
-                self.restores += 1
-                self.outright += any(bar is None and delta is not None
-                                     for _, _, _, delta, _, bar in memo.values())
-            return memo
+            return count(*args)
 
-        monkeypatch.setattr(sampler, "_reuse", spy)
+        def scan_spy(*args):
+            out = scan(*args)
+            self.scans.append((self.events[-1].step, out[0]))
+            return out
+
+        monkeypatch.setattr(sampler, "counts_after_move", count_spy)
+        monkeypatch.setattr(sampler, "_scan_rejections", scan_spy)
+
+    def __call__(self, event, state) -> None:
+        self.evaluated.append(self.calls > self._seen)
+        self._seen = self.calls
+        self.events.append(event)
+
+
+def undo_slot(events, exact):
+    """Replay a chain's memos from its events.  A step evaluates its
+    proposal unless the memo holds the node or the move is inadmissible (no
+    delta).  An accepted move keeps the memo it leaves in an undo slot and
+    starts a new one or, where the weight sums are exact and it moves the
+    node the last accepted move moved, swaps the two.  Returns whether each
+    step evaluates, and each swap's event with the events that made the
+    memo it took back."""
+    memo, undo, moved = {}, {}, None
+    evaluates, restores = [], []
+    for e in events:
+        evaluates.append(e.node not in memo and e.delta is not None)
+        memo.setdefault(e.node, e)
+        if e.accepted:
+            if exact and e.node == moved:
+                memo, undo = undo, memo
+                restores.append((e, list(memo.values())))
+            else:
+                memo, undo = {}, memo
+            moved = e.node
+    return evaluates, restores
 
 
 class PoolSpy:

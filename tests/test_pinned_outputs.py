@@ -11,7 +11,9 @@ long runs of rejections were taken in numpy and before a chain took back
 the memo of a subset it returned to; all of them, and the ``int5`` chain
 cases (integer weights up to 5), were recorded before a chain on a graph
 of exact weight sums dropped its count of adjacent members and read pool
-membership off those sums.  Any change to the events, the RNG stream, the
+membership off those sums, and before such a chain kept only the memo of
+the subset its last accepted move left in place of the memos of the 16
+subsets it left last.  Any change to the events, the RNG stream, the
 reports, the null graphs, the counts or the partitions shows here.
 """
 
@@ -32,7 +34,7 @@ from dcex.criterion import CommunityState, CriterionParams
 from dcex.extraction import ExtractionConfig
 from dcex.sampler import ChainConfig
 
-from helpers import ReuseSpy, ScanSpy, directed_gnp, rigid_graph
+from helpers import MemoSpy, directed_gnp, rigid_graph, undo_slot
 
 FIGURE1_EDGELIST = (
     Path(__file__).resolve().parent.parent / "data" / "figure1" / "figure1.edgelist"
@@ -105,8 +107,9 @@ NULL_GRAPH_DIGESTS = {
 }
 
 
-def chain_digest(mode, weights, c):
-    """sha256 of every StepEvent of one chain, then its result."""
+def chain_digest(mode, weights, c, observer=None):
+    """sha256 of every StepEvent of one chain, then its result; ``observer``,
+    when given, also sees every step."""
     g = directed_gnp(40, 0.1, seed=21, max_weight=5 if weights == "int5" else 1,
                      float_weights=weights == "float")
     if mode == "undirected":
@@ -114,8 +117,13 @@ def chain_digest(mode, weights, c):
     params = CriterionParams(rho=0.8, n=1.0, mode=mode)
     cfg = ChainConfig(c=c, seed=3, max_steps=4000, patience=4000)
     lines = []
-    r = run_chain(g, params, cfg,
-                  observer=lambda e, state: lines.append(repr(tuple(e))))
+
+    def record(e, state):
+        lines.append(repr(tuple(e)))
+        if observer is not None:
+            observer(e, state)
+
+    r = run_chain(g, params, cfg, observer=record)
     lines.append(repr((sorted(r.best_state.members), r.best_score.value,
                        r.steps_run, r.accepted, r.stopped)))
     return hashlib.sha256("\n".join(lines).encode()).hexdigest()
@@ -218,14 +226,15 @@ def null_graph_digest(g):
 @pytest.mark.parametrize("case", CHAIN_CASES,
                          ids=lambda case: "-".join(["plain", *map(str, case)]))
 def test_chain_event_stream_is_pinned(case, monkeypatch):
-    spy, reuse = ScanSpy(monkeypatch), ReuseSpy(monkeypatch)
-    assert chain_digest(*case) == CHAIN_DIGESTS[case]
+    spy = MemoSpy(monkeypatch)
+    assert chain_digest(*case, observer=spy) == CHAIN_DIGESTS[case]
     if case[-1] == 1000.0:  # near-frozen: its long rejection runs are scanned
-        assert spy.steps > 0
-    if case[1] == "float":  # sums round, so no memo is kept for a return
-        assert reuse.calls == 0
-    elif case[-1] == 0.05:  # a roaming chain comes back to sets it left
-        assert reuse.restores > 0
+        assert sum(taken for _, taken in spy.scans) > 0
+    # Sums round on float weights, so no memo is kept for an undo.
+    evaluates, restores = undo_slot(spy.events, case[1] != "float")
+    assert spy.evaluated == evaluates
+    if case[1] != "float" and case[-1] == 0.05:  # a roaming chain undoes moves
+        assert len(restores) > 50
 
 
 def test_extract_report_and_trace_are_pinned(tmp_path):

@@ -32,8 +32,8 @@ from dcex.criterion import (
 from dcex.sampler import ChainConfig, ChainConfigError, write_trace_csv
 
 from helpers import (
+    MemoSpy,
     PoolSpy,
-    ReuseSpy,
     ScanSpy,
     VisitCounter,
     admissible_subsets,
@@ -41,6 +41,7 @@ from helpers import (
     directed_gnp,
     exact_chain_law,
     two_cliques_graph,
+    undo_slot,
 )
 
 
@@ -545,38 +546,51 @@ EXACT_SUMS_CASES = {
 
 
 def reused_and_not(g, params, cfg, monkeypatch):
-    """Run the chain keeping no parked memos, then keeping them, with and
-    without an observer; assert that all three agree, event for event, and
-    return the reusing run's :class:`ReuseSpy`, its :class:`ScanSpy` and the
-    number of its scans that began at a step that restored a memo."""
-    keep = sampler._MEMO_STATES
-    monkeypatch.setattr(sampler, "_MEMO_STATES", 0)
-    fresh, fresh_events = run_observed(g, params, cfg)
-    monkeypatch.setattr(sampler, "_MEMO_STATES", keep)
-    assert_same_result(run_chain(g, params, cfg), fresh)
-    reuse, spy = ReuseSpy(monkeypatch), ScanSpy(monkeypatch)
-    events = []
-    at_restore = 0
-    scan = sampler._scan_rejections
-
-    def scan_after(*args):
-        # The last event seen is the accepted step that restored the memo.
-        nonlocal at_restore
-        at_restore += events[-1].accepted and reuse.restored
-        return scan(*args)
-
-    monkeypatch.setattr(sampler, "_scan_rejections", scan_after)
-    reused = run_chain(g, params, cfg, observer=lambda e, state: events.append(e))
-    assert_same_result(reused, fresh)
+    """Run the chain with ``_exact_sums`` patched to False, so it keeps no
+    memo past an accepted move, then as it is, with and without an observer.
+    Assert that all three agree, event for event, and that each chain
+    evaluated the proposals :func:`undo_slot` replays.  Return the
+    reference's and the observed chain's :class:`MemoSpy` and the swaps."""
+    exact_sums = sampler._exact_sums
+    monkeypatch.setattr(sampler, "_exact_sums", lambda g: False)
+    fresh = MemoSpy(monkeypatch)
+    reference = run_chain(g, params, cfg, fresh)
+    assert fresh.evaluated == undo_slot(fresh.events, False)[0]
+    monkeypatch.setattr(sampler, "_exact_sums", exact_sums)
+    assert_same_result(run_chain(g, params, cfg), reference)
+    spy = MemoSpy(monkeypatch)
+    assert_same_result(run_chain(g, params, cfg, spy), reference)
     # repr, so a -0.0 in place of a 0.0 would show
-    assert [repr(e) for e in events] == [repr(e) for e in fresh_events]
-    return reuse, spy, at_restore
+    assert [repr(e) for e in spy.events] == [repr(e) for e in fresh.events]
+    evaluates, restores = undo_slot(spy.events, exact_sums(g))
+    assert spy.evaluated == evaluates
+    return fresh, spy, restores
+
+
+def epochs(events):
+    """The events split after each accepted step: epoch k holds the steps
+    taken from the subset that the k-th accepted move reached."""
+    out = [[]]
+    for e in events:
+        out[-1].append(e)
+        if e.accepted:
+            out.append([])
+    return out
+
+
+def outright(events):
+    """Whether one of ``events`` is a move accepted with no draw."""
+    return any(e.uniform is None and e.delta is not None for e in events)
 
 
 class TestMemoReuse:
-    """A chain that takes a parked memo back gives the chain that keeps none."""
+    """A chain that takes back the memo of the subset it left gives the
+    chain that keeps none, and evaluates fewer proposals."""
 
     PARAMS = CriterionParams(rho=0.8, n=5.0)
+    # The pinned int5 chain: it undoes outright accepts and returns to
+    # subsets by other paths.
+    INT5_CFG = ChainConfig(c=0.05, seed=3, max_steps=4000, patience=4000)
 
     @pytest.fixture(scope="class")
     def figure1_null(self):
@@ -584,79 +598,156 @@ class TestMemoReuse:
 
     def test_figure1_null_graph(self, figure1_null, monkeypatch):
         # At c=0.05 most accepted moves undo the one before; the memos they
-        # restore hold outright accepts and often cover the pool at once.
+        # take back hold outright accepts and often cover the pool at once.
         cfg = ChainConfig(c=0.05, seed=0, max_steps=20000, patience=10000)
-        reuse, spy, at_restore = reused_and_not(figure1_null, self.PARAMS, cfg,
-                                                monkeypatch)
-        assert reuse.restores > 0.8 * reuse.calls > 200
-        assert reuse.outright > 100
-        assert at_restore > 50 and spy.steps > 0
+        fresh, spy, restores = reused_and_not(figure1_null, self.PARAMS, cfg,
+                                              monkeypatch)
+        accepted = sum(e.accepted for e in spy.events)
+        assert len(restores) > 0.8 * accepted > 200
+        assert sum(outright(memo) for _, memo in restores) > 100
+        scanned = {step for step, _ in spy.scans}
+        assert sum(e.step in scanned for e, _ in restores) > 50
+        assert sum(spy.evaluated) < 0.2 * sum(fresh.evaluated)
 
     def test_init_members(self, figure1_null, monkeypatch):
         # The edge 0 -> 17: a start the chain leaves and comes back to.
         assert 17 in figure1_null.adj_nbrs[0]
         cfg = ChainConfig(c=0.05, seed=0, max_steps=20000, patience=10000,
                           init_members=(0, 17))
-        reuse, _, _ = reused_and_not(figure1_null, self.PARAMS, cfg, monkeypatch)
-        assert reuse.restores > 20
+        _, _, restores = reused_and_not(figure1_null, self.PARAMS, cfg,
+                                        monkeypatch)
+        assert len(restores) > 20
 
     def test_near_frozen_chain_scans(self, figure1_null, monkeypatch):
-        # At c=1000 a chain seldom leaves a set it could come back to, but
-        # its long rejection runs are scanned while it parks memos.
+        # At c=1000 a chain seldom undoes a move, but its long rejection
+        # runs are scanned while it keeps an undo memo.
         cfg = ChainConfig(c=1000.0, seed=0, max_steps=20000, patience=10000)
-        reuse, spy, _ = reused_and_not(figure1_null, self.PARAMS, cfg, monkeypatch)
-        assert reuse.calls > 0 and spy.steps > 0
+        _, spy, _ = reused_and_not(figure1_null, self.PARAMS, cfg, monkeypatch)
+        assert any(e.accepted for e in spy.events)
+        assert sum(taken for _, taken in spy.scans) > 0
 
     def test_planted_graph(self, monkeypatch):
         g, _ = generate_benchmark(BenchmarkSpec(n1=40, n2=50, n0=410, p1=0.7,
                                                 p2=0.05, seed=3))
         cfg = ChainConfig(c=0.01, seed=4, max_steps=20000, patience=20000)
-        reuse, _, _ = reused_and_not(g, self.PARAMS, cfg, monkeypatch)
-        assert reuse.restores > 0
+        _, _, restores = reused_and_not(g, self.PARAMS, cfg, monkeypatch)
+        assert restores
 
-    @pytest.mark.parametrize("seed, restores", [(4, 0), (3, 5)])
-    def test_parking_stops_when_it_does_not_pay(self, seed, restores,
-                                                monkeypatch):
-        # On an undirected planted graph at c=0.01 the chain roams and
-        # seldom comes back to a set it left: it stops parking once its
-        # parks that restored nothing reach 256 per restore plus 256.
+    @pytest.mark.parametrize("seed", [3, 4])
+    def test_undirected_planted_graph(self, seed, monkeypatch):
+        # At c=0.01 the chain roams and seldom undoes a move.
         g, _ = generate_benchmark(BenchmarkSpec(n1=40, n2=50, n0=410, p1=0.7,
                                                 p2=0.05, seed=3))
-        g = symmetrize(g)
         params = CriterionParams(rho=0.8, n=5.0, mode="undirected")
         cfg = ChainConfig(c=0.01, seed=seed, max_steps=20000, patience=20000)
-        reuse, _, _ = reused_and_not(g, params, cfg, monkeypatch)
-        parks = reuse.calls
-        assert reuse.restores == restores
-        assert parks - restores == sampler._PARK_TRIAL * (restores + 1)
-        assert run_chain(g, params, cfg).accepted > 5 * parks
+        _, spy, restores = reused_and_not(symmetrize(g), params, cfg,
+                                          monkeypatch)
+        assert 0 < len(restores) < 0.01 * sum(e.accepted for e in spy.events)
 
     def test_float_weights_restore_nothing(self, monkeypatch):
         g = directed_gnp(40, 0.1, seed=21, float_weights=True)
         cfg = ChainConfig(c=0.05, seed=3, max_steps=4000, patience=4000)
-        reuse, _, _ = reused_and_not(g, CriterionParams(rho=0.8, n=1.0), cfg,
-                                     monkeypatch)
-        assert reuse.calls == 0
+        fresh, spy, _ = reused_and_not(g, CriterionParams(rho=0.8, n=1.0), cfg,
+                                       monkeypatch)
+        # It undoes moves, but evaluates every proposal after each one again.
+        assert undo_slot(spy.events, True)[1]
+        assert spy.evaluated == fresh.evaluated
 
     def test_integer_weights_above_one(self, monkeypatch):
         g = directed_gnp(40, 0.1, seed=21, max_weight=5)
         cfg = ChainConfig(c=0.05, seed=3, max_steps=4000, patience=4000)
-        reuse, _, _ = reused_and_not(g, CriterionParams(rho=0.8, n=1.0), cfg,
-                                     monkeypatch)
-        assert reuse.restores > 0
+        fresh, spy, restores = reused_and_not(
+            g, CriterionParams(rho=0.8, n=1.0), cfg, monkeypatch)
+        assert restores and sum(spy.evaluated) < sum(fresh.evaluated)
 
     @pytest.mark.parametrize("case", sorted(EXACT_SUMS_CASES))
     def test_parks_where_the_sums_are_exact(self, case, monkeypatch):
-        # The rule that sets parking also picks the pool walk.
+        # The rule that keeps an undo memo also picks the pool walk.
         make, mode, exact = EXACT_SUMS_CASES[case]
         g = make()
         assert sampler._exact_sums(g) is exact
         # Node 0 is on the graph the heavy edges are kept apart from.
         cfg = ChainConfig(c=0.05, seed=3, max_steps=4000, patience=4000,
                           init_members=(0,))
-        reuse, _, _ = reused_and_not(
+        fresh, spy, _ = reused_and_not(
             g, CriterionParams(rho=0.8, n=1.0, mode=mode), cfg, monkeypatch)
-        assert (reuse.calls > 0) is exact
+        assert (sum(spy.evaluated) < sum(fresh.evaluated)) is exact
+
+    def test_ping_pong_evaluates_nothing_new(self, figure1_null, monkeypatch):
+        # Add u, remove u, add u: the second visit to S+u looks up every
+        # proposal the first visit evaluated.
+        cfg = ChainConfig(c=0.05, seed=0, max_steps=20000, patience=10000)
+        _, spy, _ = reused_and_not(figure1_null, self.PARAMS, cfg, monkeypatch)
+        evaluated = dict(zip((e.step for e in spy.events), spy.evaluated))
+        parts = epochs(spy.events)
+        repeats = 0
+        for i in range(len(parts) - 3):
+            moves = [part[-1] for part in parts[i:i + 3]]
+            if (moves[0].direction != "add"
+                    or {e.node for e in moves} != {moves[0].node}):
+                continue
+            first = {e.node for e in parts[i + 1] if e.delta is not None}
+            again = [e for e in parts[i + 3] if e.node in first]
+            assert not any(evaluated[e.step] for e in again)
+            repeats += len(again)
+        assert repeats > 100
+
+    def test_square_return_starts_a_new_memo(self, monkeypatch):
+        # Add u, add v, remove u, remove v returns to S by another path: the
+        # memo made at S was dropped, so S's proposals are evaluated again.
+        make, mode, _ = EXACT_SUMS_CASES["int5"]
+        params = CriterionParams(rho=0.8, n=1.0, mode=mode)
+        _, spy, _ = reused_and_not(make(), params, self.INT5_CFG, monkeypatch)
+        evaluated = dict(zip((e.step for e in spy.events), spy.evaluated))
+        parts = epochs(spy.events)
+        squares = 0
+        for i in range(len(parts) - 4):
+            moves = [(e.direction, e.node) for e in
+                     (part[-1] for part in parts[i:i + 4])]
+            u, v = moves[0][1], moves[1][1]
+            if u == v or moves != [("add", u), ("add", v), ("remove", u),
+                                   ("remove", v)]:
+                continue
+            first = {e.node for e in parts[i] if e.delta is not None}
+            firsts = {}
+            for e in parts[i + 4]:
+                firsts.setdefault(e.node, e)
+            again = [e for e in firsts.values() if e.node in first]
+            assert all(evaluated[e.step] for e in again)
+            squares += bool(again)
+        assert squares > 0
+
+    def test_outright_undo_is_not_scanned(self, monkeypatch):
+        # The move that left S was accepted outright, so the memo an undo
+        # takes back holds that accept (no bar, a delta), which a scan would
+        # read as a rejection.  The chain weighs a scan once the memo covers
+        # the pool; where the bars are low enough to scan, it starts none.
+        make, mode, _ = EXACT_SUMS_CASES["int5"]
+        g, params = make(), CriterionParams(rho=0.8, n=1.0, mode=mode)
+        _, spy, restores = reused_and_not(g, params, self.INT5_CFG, monkeypatch)
+        pools, sizes = PoolSpy(monkeypatch), []
+        run_chain(g, params, self.INT5_CFG,
+                  lambda e, state: sizes.append(len(pools.pools[-1].items)))
+        scanned = {step for step, _ in spy.scans}
+        guarded = 0
+        for e, memo in restores:
+            if not outright(memo):
+                continue
+            memo, pool = {m.node: m for m in memo}, sizes[e.step - 1]
+            # Step k's event is spy.events[k - 1]; go on from the undo.
+            for later in [e, *spy.events[e.step:]]:
+                if later is not e:
+                    if later.accepted:
+                        break
+                    memo.setdefault(later.node, later)
+                if len(memo) == pool:
+                    bars = [math.exp(m.log_ratio) for m in memo.values()
+                            if m.log_ratio is not None and m.log_ratio < 0]
+                    if sum(bars) * sampler._SCAN_MIN <= pool:
+                        assert later.step not in scanned
+                        guarded += 1
+                    break
+        assert guarded > 0
 
 
 def pool_trace(g, params, cfg, monkeypatch):
