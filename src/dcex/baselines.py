@@ -1,13 +1,13 @@
 """Comparison methods: direction-blind extraction and modularity partitioning.
 
-UCE runs the extraction machinery on the symmetrized graph with the
-direction coefficient pinned to 1.  DMM partitions the whole network by
-recursive leading-eigenvector bisection of the directed modularity matrix
-B[i, j] = A[i, j] - k_in[i] * k_out[j] / m (symmetrized for the eigen step),
-with greedy single-node refinement after each split.  The leading
-eigenvector comes from an explicitly restarted Krylov (Rayleigh-Ritz) solve
-that only applies the part's matrix to vectors, so it never forms the dense
-k-by-k matrix of a k-node part.  This DMM is a
+UCE runs the extraction machinery on the symmetrized graph at n = 0, where
+q^n = 1 drops the direction term, whatever n it is given.  DMM partitions the
+whole network by recursive leading-eigenvector bisection of the directed
+modularity matrix B[i, j] = A[i, j] - k_in[i] * k_out[j] / m (symmetrized
+for the eigen step), with greedy single-node refinement after each split.
+The leading eigenvector comes from an explicitly restarted Krylov
+(Rayleigh-Ritz) solve that only applies the part's matrix to vectors, so it
+never forms the dense k-by-k matrix of a k-node part.  This DMM is a
 faithful-in-spirit reimplementation of the classic spectral method; exact
 agreement with other codebases is not claimed.
 """
@@ -18,7 +18,6 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .criterion import MODE_UNDIRECTED
 from .evaluation import PartitionLabels
 from .extraction import ExtractionConfig, ExtractionReport, extract_all
 from .graph import DirectedGraph, subgraph_complement, symmetrize
@@ -46,11 +45,12 @@ def run_uce(
 ) -> ExtractionReport:
     """Extraction on the symmetrized graph, ignoring link direction.
 
-    ``jobs`` and ``chain_observer`` are passed to :func:`extract_all`, so the
-    report is the same for every ``jobs`` and the observer sees the restart
-    chains on the symmetrized graph in undirected mode.
+    It runs W at n = 0, which the report echoes, whatever
+    ``config.criterion.n`` is.  ``jobs`` and ``chain_observer`` are passed to
+    :func:`extract_all`, so the report is the same for every ``jobs`` and the
+    observer sees the restart chains on the symmetrized graph.
     """
-    cfg = replace(config, criterion=replace(config.criterion, mode=MODE_UNDIRECTED))
+    cfg = replace(config, criterion=replace(config.criterion, n=0.0))
     return extract_all(symmetrize(g), cfg, jobs=jobs, chain_observer=chain_observer)
 
 

@@ -22,7 +22,7 @@ import numpy as np
 from . import __version__
 from .baselines import DmmConfig, run_dmm, run_uce
 from .benchmark import BenchmarkSpec, generate
-from .criterion import MODE_DIRECTED, CriterionParams
+from .criterion import CriterionParams
 from .evaluation import best_pair_adjusted_jaccard, save_membership
 from .extraction import (
     NULL_DEGREE_PRESERVING,
@@ -188,7 +188,7 @@ def _cmd_extract(args) -> int:
     # Every option is checked, whatever the method, before the graph loads.
     dmm = DmmConfig(args.parts, args.refinement_passes)
     config = ExtractionConfig(
-        criterion=CriterionParams(rho=args.rho, n=args.n, mode=MODE_DIRECTED),
+        criterion=CriterionParams(rho=args.rho, n=args.n),
         chain=_chain_config(args),
         restarts=args.restarts,
         max_communities=args.max_communities,
@@ -295,16 +295,12 @@ def _sweep_task(task) -> list[dict]:
         t0 = time.perf_counter()
         try:
             if method == "dmm":
-                labels = run_dmm(graph, dmm)
-                cand = labels.as_sets()
-                aj, _ = best_pair_adjusted_jaccard(truth_pair, cand)
+                found = run_dmm(graph, dmm).as_sets()
             else:
                 chain = replace(config.chain, seed=derive_seed(spec.seed, 100 + mi))
                 run = extract_all if method == "dce" else run_uce
                 found = run(graph, replace(config, chain=chain)).member_sets()
-                c1 = found[0] if len(found) > 0 else set()
-                c2 = found[1] if len(found) > 1 else set()
-                aj, _ = best_pair_adjusted_jaccard(truth_pair, [c1, c2])
+            aj, _ = best_pair_adjusted_jaccard(truth_pair, found)
             row["adjusted_jaccard"] = f"{aj:.6f}"
         except Exception as exc:
             row["error"] = str(exc).replace("\n", " ")
@@ -336,7 +332,7 @@ def _cmd_sweep(args) -> int:
         # Both are built, and so validated, even when there are no replicates.
         spec = BenchmarkSpec(n1=args.n1, n2=args.n2, n0=args.n0, p1=p1, p2=p2)
         config = ExtractionConfig(
-            criterion=CriterionParams(rho=rho, n=n, mode=MODE_DIRECTED),
+            criterion=CriterionParams(rho=rho, n=n),
             chain=chain,
             restarts=args.restarts,
             max_communities=2,
@@ -395,7 +391,7 @@ def _cmd_scaling(args) -> int:
     if args.replicates < 1:
         raise ValueError("replicates must be >= 1")
 
-    params = CriterionParams(rho=args.rho, n=args.n, mode=MODE_DIRECTED)
+    params = CriterionParams(rho=args.rho, n=args.n)
     chain = _chain_config(args)
     tasks = []
     for si, size in enumerate(sizes):

@@ -13,8 +13,9 @@ edges internal to S, B_S = B_in + B_out the boundary weight, and
 
 the direction-consistency coefficient: q = 1 when every boundary edge points
 the same way relative to S, growing to B_S + 1 when in- and out-flow balance.
-In undirected mode q is fixed at 1 and the criterion reduces to the purely
-density-based form.
+At n = 0, q^n = 1 and W is the purely density-based, direction-blind form:
+the UCE baseline is W at n = 0 on the symmetrized graph.  A :class:`Score`
+reports the boundary's q at every n.
 
 The criterion is finite for any 1 <= |S| <= rho*N (at the very top,
 e(S) = 0 and only the penalty term survives), and :func:`score` evaluates
@@ -30,9 +31,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-
-MODE_DIRECTED = "directed"
-MODE_UNDIRECTED = "undirected"
 
 # Slack for the admissibility inequality 2|S| < rho*N, where values within
 # this tolerance of the boundary count as on it (and are rejected), and for
@@ -54,12 +52,11 @@ class MoveRejected(Exception):
 
 @dataclass(frozen=True)
 class CriterionParams:
-    """Criterion configuration: rho in (0, 1], a finite penalty exponent
-    n >= 0, and the mode."""
+    """Criterion configuration: rho in (0, 1] and a finite penalty exponent
+    n >= 0; n = 0 switches the direction term off."""
 
     rho: float = 0.8
     n: float = 5.0
-    mode: str = MODE_DIRECTED
 
     def __post_init__(self):
         if not (0.0 < self.rho <= 1.0):
@@ -67,8 +64,6 @@ class CriterionParams:
         if not 0 <= self.n < math.inf:  # also rejects NaN
             raise ValueError(
                 f"penalty exponent n must be finite and >= 0, got {self.n}")
-        if self.mode not in (MODE_DIRECTED, MODE_UNDIRECTED):
-            raise ValueError(f"unknown mode {self.mode!r}")
 
 
 @dataclass(frozen=True)
@@ -99,18 +94,15 @@ def q_coefficient(b_in: float, b_out: float) -> float:
 
 def value_function(n_nodes, params):
     """The one formula for W, as ``value(o_s, b_in, b_out, size)`` on a graph
-    of n_nodes, with rho*N and the mode bound once; no admissibility check
-    (callers guarantee it)."""
+    of n_nodes, with rho*N and n bound once; no admissibility check (callers
+    guarantee it).  At n = 0, q ** 0.0 is 1.0 and 1.0 * x == x, so W is
+    exactly the direction-blind form."""
     rho_n = params.rho * n_nodes
-    if params.mode == MODE_DIRECTED:
-        n = params.n
+    n = params.n
 
-        def value(o_s, b_in, b_out, size):
-            return ((rho_n - size) * o_s / size
-                    - q_coefficient(b_in, b_out) ** n * (b_in + b_out))
-    else:
-        def value(o_s, b_in, b_out, size):  # q = 1, and 1.0 * x == x
-            return (rho_n - size) * o_s / size - (b_in + b_out)
+    def value(o_s, b_in, b_out, size):
+        return ((rho_n - size) * o_s / size
+                - q_coefficient(b_in, b_out) ** n * (b_in + b_out))
     return value
 
 
@@ -178,6 +170,7 @@ def score(g, state, params: CriterionParams) -> Score:
     ``state`` may be a :class:`CommunityState` or any iterable of node ids.
     Raises :class:`CriterionDomainError` outside the finite range
     1 <= |S| <= rho*N; out-of-range subsets are never silently evaluated.
+    ``q_d`` is the boundary's q at every n, n = 0 included.
     """
     if not isinstance(state, CommunityState):
         state = CommunityState.from_members(g, state)
@@ -187,10 +180,9 @@ def score(g, state, params: CriterionParams) -> Score:
             f"|S|={state.size} outside the criterion's domain for "
             f"N={g.n_nodes}, rho={params.rho} (need 1 <= |S| <= rho*N)"
         )
-    directed = params.mode == MODE_DIRECTED
     return Score(
         value=value_function(g.n_nodes, params)(*state.counts()),
-        q_d=q_coefficient(state.b_in, state.b_out) if directed else 1.0,
+        q_d=q_coefficient(state.b_in, state.b_out),
         effective_size_term=effective_size,
     )
 

@@ -315,7 +315,7 @@ def extract_all(
         if len(communities) >= config.max_communities:
             reason = STOP_MAX_COMMUNITIES
             break
-        if residual.n_nodes < 3 or max_admissible_size(residual.n_nodes, rho) < 1:
+        if max_admissible_size(residual.n_nodes, rho) < 1:
             reason = STOP_GRAPH_EXHAUSTED
             break
 

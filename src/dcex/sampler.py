@@ -191,8 +191,6 @@ def run_chain(
     step and reports the same events as the step loop.
     """
     n = g.n_nodes
-    if n < 2:
-        raise ChainConfigError("need at least 2 nodes to run a chain")
     top = max_admissible_size(n, params.rho)
     if top < 1:
         raise ChainConfigError(

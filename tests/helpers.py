@@ -21,7 +21,6 @@ from dcex import (
 )
 from dcex.baselines import _leading_eigenvector
 from dcex.criterion import (
-    MODE_DIRECTED,
     CommunityState,
     Score,
     q_coefficient,
@@ -117,10 +116,9 @@ def brute_force_optimum(g: DirectedGraph, params, max_n: int = 20):
             best_members = combo
             best_counts = counts
     _, b_in, b_out, size = best_counts
-    directed = params.mode == MODE_DIRECTED
     return best_members, Score(
         value=best_w,
-        q_d=q_coefficient(b_in, b_out) if directed else 1.0,
+        q_d=q_coefficient(b_in, b_out),
         effective_size_term=params.rho * n - size,
     )
 
@@ -369,7 +367,7 @@ def reference_counts(adj: np.ndarray, members):
     return o_s, b_in, b_out
 
 
-def reference_score(adj: np.ndarray, members, rho, n, mode="directed") -> float:
+def reference_score(adj: np.ndarray, members, rho, n) -> float:
     """From-scratch criterion value; independent of the library implementation."""
     members = set(members)
     size = len(members)
@@ -377,10 +375,7 @@ def reference_score(adj: np.ndarray, members, rho, n, mode="directed") -> float:
     o_s, b_in, b_out = reference_counts(adj, members)
     b_s = b_in + b_out
     eff = rho * n_nodes - size
-    if mode == "directed":
-        q = (b_s + 1.0) / (abs(b_in - b_out) + 1.0)
-    else:
-        q = 1.0
+    q = (b_s + 1.0) / (abs(b_in - b_out) + 1.0)
     return size * eff * (o_s / size**2 - (q**n) * b_s / (size * eff)) if eff != 0 else (
         # at eff == 0 only the penalty term survives
         -(q**n) * b_s

@@ -19,7 +19,7 @@ from dcex import (
 )
 from dcex import baselines
 from dcex.baselines import DmmConfig, run_dmm, run_uce
-from dcex.criterion import MODE_UNDIRECTED, CommunityState, CriterionParams, score
+from dcex.criterion import CommunityState, CriterionParams, score
 from dcex.extraction import ExtractionConfig, extract_all
 from dcex.sampler import ChainConfig
 
@@ -44,7 +44,7 @@ class TestUce:
         direct = extract_all(
             symmetrize(g),
             ExtractionConfig(
-                criterion=CriterionParams(rho=0.8, n=5.0, mode=MODE_UNDIRECTED),
+                criterion=CriterionParams(rho=0.8, n=0.0),
                 chain=cfg.chain,
                 restarts=3,
                 max_communities=3,
@@ -58,16 +58,15 @@ class TestUce:
         # O, B_in, B_out all double under symmetrization, so the
         # direction-blind value is exactly twice the n=0 directed value.
         rng = np.random.default_rng(6)
+        params = CriterionParams(rho=1.0, n=0.0)
         for seed in range(5):
             g = directed_gnp(16, 0.3, seed=30 + seed, max_weight=3)
             sym = symmetrize(g)
             for _ in range(20):
                 size = int(rng.integers(1, 6))
                 members = set(rng.choice(16, size=size, replace=False).tolist())
-                w_sym = score(
-                    sym, members, CriterionParams(rho=1.0, n=3.0, mode=MODE_UNDIRECTED)
-                ).value
-                w_dir = score(g, members, CriterionParams(rho=1.0, n=0.0)).value
+                w_sym = score(sym, members, params).value
+                w_dir = score(g, members, params).value
                 assert w_sym == pytest.approx(2.0 * w_dir, rel=1e-12, abs=1e-12)
 
     def test_chain_trajectories_match_at_doubled_c(self):
@@ -78,7 +77,7 @@ class TestUce:
         ev_sym, ev_dir = [], []
         r_sym = run_chain(
             sym,
-            CriterionParams(rho=1.0, n=0.0, mode=MODE_UNDIRECTED),
+            CriterionParams(rho=1.0, n=0.0),
             ChainConfig(c=0.05, seed=77, max_steps=5000, patience=5000),
             observer=lambda e, state: ev_sym.append(e),
         )

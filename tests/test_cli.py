@@ -1,12 +1,13 @@
 import csv
 import json
+import shlex
 from pathlib import Path
 
 import pytest
 
 from dcex import derive_seed, load_edge_list, run_chain, symmetrize
 from dcex.cli import _build_parser, main
-from dcex.criterion import MODE_UNDIRECTED, CriterionParams
+from dcex.criterion import CriterionParams
 from dcex.sampler import ChainConfig, write_trace_csv
 
 REPO_ROOT = Path(__file__).resolve().parent.parent
@@ -83,7 +84,8 @@ class TestExtractCommand:
                                                   "--null-replicates": 0}))
         assert code == 0
         report = json.loads(out.read_text())
-        assert report["config"]["criterion"]["mode"] == "undirected"
+        # UCE runs W at n = 0 whatever --n says, and echoes that n.
+        assert report["config"]["criterion"] == {"rho": 0.8, "n": 0.0}
 
     def test_dmm_method_writes_membership(self, tmp_path):
         out = tmp_path / "parts.txt"
@@ -110,7 +112,7 @@ class TestExtractCommand:
         out, trace = tmp_path / "uce.json", tmp_path / "trace.csv"
         assert run_cli(*self.extract_args(out, **args, **{"--trace": trace})) == 0
         sym = symmetrize(load_edge_list(FIGURE1_EDGELIST))
-        params = CriterionParams(rho=0.8, n=5, mode=MODE_UNDIRECTED)
+        params = CriterionParams(rho=0.8, n=0.0)
         chain = ChainConfig(c=0.05, max_steps=8000, patience=4000,
                             seed=derive_seed(4, 0, 0, 0))
         events = []
@@ -242,6 +244,17 @@ class TestExtractCommand:
                        "--out", out)
         assert code == 2
         assert f"{graph}: no edges" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_overflowing_total_weight_exits_2_naming_path(self, tmp_path, capsys):
+        # A numpy RuntimeWarning is an error in this suite and would exit 1.
+        graph = tmp_path / "heavy.edgelist"
+        graph.write_text("a b 1e308\nb a 1e308\n")
+        out = tmp_path / "r.json"
+        assert run_cli("extract", "--graph", graph, "--out", out) == 2
+        err = capsys.readouterr().err
+        assert f"{graph}: total edge weight overflows" in err
+        assert "RuntimeWarning" not in err
         assert not out.exists()
 
 
@@ -472,6 +485,31 @@ class TestChainOptionDefaults:
         args = _build_parser().parse_args(argv)
         assert (args.c, args.seed, args.max_steps, args.patience, args.jobs) == (
             c, 0, None, None, 1)
+
+
+def readme_commands():
+    """Every ``dcex ...`` command in README.md's "Command line" code block,
+    as argument lists: continuation lines joined, comments dropped."""
+    text = (REPO_ROOT / "README.md").read_text(encoding="utf-8")
+    section = text.split("\n## Command line\n", 1)[1]
+    block = section.split("```bash\n", 1)[1].split("```", 1)[0]
+    return [shlex.split(line, comments=True)[1:]
+            for line in block.replace("\\\n", " ").splitlines()
+            if line.startswith("dcex ")]
+
+
+class TestReadmeCommands:
+    def test_every_command_in_the_readme_parses(self, capsys):
+        commands = readme_commands()
+        assert {argv[0] for argv in commands} == {"extract", "benchmark", "sweep",
+                                                  "scaling"}
+        parser = _build_parser()
+        for argv in commands:
+            try:
+                parser.parse_args(argv)
+            except SystemExit:
+                pytest.fail(f"README command does not parse: dcex {shlex.join(argv)}"
+                            f"\n{capsys.readouterr().err}")
 
 
 class TestVersionFlag:

@@ -320,7 +320,12 @@ class TestExtractAll:
         assert rep.communities == ()
         assert rep.stopped_reason == STOP_MAX_COMMUNITIES
 
-    def test_tiny_residual_stops_exhausted(self):
+    def test_tiny_residual_stops_exhausted(self, monkeypatch):
+        # No subset of a 2-node graph is admissible, so no chain runs.
+        def refuse(*args, **kwargs):
+            raise AssertionError("a chain ran on a graph with no admissible subset")
+
+        monkeypatch.setattr(extraction, "search", refuse)
         g = DirectedGraph(2, [(0, 1, 1.0)])
         rep = extract_all(g, fast_config())
         assert rep.stopped_reason == STOP_GRAPH_EXHAUSTED

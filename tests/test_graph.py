@@ -161,6 +161,16 @@ class TestConstruction:
             assert sum(g.out_strength) == pytest.approx(g.total_weight)
             assert sum(g.in_strength) == pytest.approx(g.total_weight)
 
+    @pytest.mark.parametrize("edges", [
+        [(0, 1, 1e308), (1, 0, 1e308)],
+        [(0, 1, 1e308), (0, 1, 1e308)],  # merged into one edge of weight inf
+    ], ids=["two-edges", "one-merged-edge"])
+    def test_overflowing_total_weight_rejected(self, edges):
+        # Every weight is finite, their sum is not.  The suite makes a numpy
+        # RuntimeWarning an error, so none is issued on the way.
+        with pytest.raises(GraphValidationError, match="total edge weight overflows"):
+            DirectedGraph(2, edges)
+
     def test_self_loop_rejected_by_constructor(self):
         with pytest.raises(GraphValidationError, match="self-loop"):
             DirectedGraph(3, [(1, 1, 1.0)])

@@ -13,8 +13,12 @@ cases (integer weights up to 5), were recorded before a chain on a graph
 of exact weight sums dropped its count of adjacent members and read pool
 membership off those sums, and before such a chain kept only the memo of
 the subset its last accepted move left in place of the memos of the 16
-subsets it left last.  Any change to the events, the RNG stream, the
-reports, the null graphs, the counts or the partitions shows here.
+subsets it left last.  The report digests were recorded again when the
+criterion's config echo lost its mode and UCE's reports took their echoed n
+(0.0) and each community's q_d (its boundary's q) from the n = 0 criterion
+it runs; every other field stayed the same.  Any change to the events, the
+RNG stream, the reports, the null graphs, the counts or the partitions shows
+here.
 """
 
 import hashlib
@@ -71,7 +75,7 @@ CHAIN_DIGESTS = {
 }
 
 EXTRACT_REPORT_DIGEST = (
-    "449a3406feb9e6a3fdfa433abd3cb5a5ec36013193768aadae0d77ddc597f1a1"
+    "d3cbed40da7250c933d4e40064cd01895c4cd01bae0ec20e0d6251f11feb9962"
 )
 EXTRACT_TRACE_DIGEST = (
     "040864b37fc4873c83618fa1b88b616c532a9a99a45d5c6236578bfa4cf81003"
@@ -81,14 +85,14 @@ EXTRACT_TRACE_DIGEST = (
 # settings scaled down; its chains read the rows of few nodes.
 PLANTED_REPORT_DIGESTS = {
     "same_edge_count":
-        "b454c6db00a3c34dd60281987f5cd7f64c80c25d455cf1c71e79723744a745df",
+        "c17b025f4b3d11e01c913147090d23b8f6921ffa0ceecb5b13246f3494155840",
     "degree_preserving":
-        "a335781fc0476d038fc2ab0ddd209848f346cb4abed7c1a26c09bbab59fdf548",
+        "bd0bb63c3ee82583cd9ccea97fe6727bb114756d41ab71f5751fa6c29987949f",
 }
 
 # UCE on a planted graph at a low c, where most proposals are accepted.
 UCE_REPORT_DIGEST = (
-    "5415d4870a4d2d8a17d76fc7f05af0736aa9f52616777e2386df321aee9c2509"
+    "7bc57bed3b41e4561e16a8e1c41a5a484ab47910a0509729312e7f4f9c4bb43a"
 )
 
 # Subset counts and DMM partitions on planted graphs with float weights,
@@ -107,14 +111,15 @@ NULL_GRAPH_DIGESTS = {
 }
 
 
-def chain_digest(mode, weights, c, observer=None):
+def chain_digest(graph, weights, c, observer=None):
     """sha256 of every StepEvent of one chain, then its result; ``observer``,
-    when given, also sees every step."""
+    when given, also sees every step.  An "undirected" chain runs UCE's
+    criterion, W at n = 0 on the symmetrized graph; a "directed" one n = 1."""
     g = directed_gnp(40, 0.1, seed=21, max_weight=5 if weights == "int5" else 1,
                      float_weights=weights == "float")
-    if mode == "undirected":
+    if graph == "undirected":
         g = symmetrize(g)
-    params = CriterionParams(rho=0.8, n=1.0, mode=mode)
+    params = CriterionParams(rho=0.8, n=0.0 if graph == "undirected" else 1.0)
     cfg = ChainConfig(c=c, seed=3, max_steps=4000, patience=4000)
     lines = []
 

@@ -49,7 +49,9 @@ PARAMS_N1 = CriterionParams(rho=1.0, n=1.0)
 
 # Case ids ending in "False" name the plain Metropolis kernel: they keep the
 # names these cases had when the suite also ran a kernel that weighed its
-# acceptance ratio by pool sizes.
+# acceptance ratio by pool sizes.  Ids and cases named "undirected" run UCE's
+# criterion, W at n = 0 on a symmetrized graph: they keep the names they had
+# when that was a criterion mode of its own.
 
 
 def mini_community_graph(extra, boundary=((0, 3), (1, 4))):
@@ -265,7 +267,7 @@ class ReferenceDeltas:
 
 
 class TestIncrementalCounts:
-    @pytest.mark.parametrize("mode", [
+    @pytest.mark.parametrize("kind", [
         pytest.param("directed", id="False"),
         pytest.param("undirected", id="undirected-False"),
     ])
@@ -277,16 +279,16 @@ class TestIncrementalCounts:
         seed=st.integers(0, 2**32 - 1),
     )
     def test_counts_match_from_scratch_at_every_step(
-        self, mode, g, c, penalty, seed
+        self, kind, g, c, penalty, seed
     ):
-        if mode == "undirected":
+        if kind == "undirected":
             # UCE's regime: on a symmetrized graph the weights to and from
             # each neighbour are equal, and at c=0.01, with weights scaled
             # into [1e-4, 1], most moves are accepted.
             g = symmetrize(DirectedGraph.from_arrays(
                 g.n_nodes, g.edge_src, g.edge_dst, g.edge_weight / 100))
-            c = 0.01
-        params = CriterionParams(rho=0.8, n=penalty, mode=mode)
+            c, penalty = 0.01, 0.0
+        params = CriterionParams(rho=0.8, n=penalty)
         # Counts are sums of edge weights, so the graph's total weight is
         # their natural scale; a count that is 0 from scratch may carry
         # rounding residue incrementally.
@@ -309,19 +311,19 @@ class TestIncrementalCounts:
         r = run_chain(g, params, cfg, observer=check)
         assert r.steps_run == 5000
         assert checked == list(range(1, 5001))
-        if mode == "undirected":
+        if kind == "undirected":
             assert r.acceptance_rate > 0.4
 
 
 class TestReferenceDeltas:
-    @pytest.mark.parametrize("mode", ["directed", "undirected"],
+    @pytest.mark.parametrize("kind", ["directed", "undirected"],
                              ids=["directed-False", "undirected-False"])
     @pytest.mark.parametrize("seed", [0, 1])
-    def test_unit_weights_match_exactly(self, mode, seed):
+    def test_unit_weights_match_exactly(self, kind, seed):
         g = directed_gnp(60, 0.08, seed=30 + seed)
-        if mode == "undirected":
+        if kind == "undirected":
             g = symmetrize(g)
-        params = CriterionParams(rho=0.6, n=5.0, mode=mode)
+        params = CriterionParams(rho=0.6, n=0.0 if kind == "undirected" else 5.0)
         start = int(g.edge_src[0])
         ref = ReferenceDeltas(g, params, (start,), rel_tol=0.0)
         cfg = ChainConfig(c=1e-3, seed=seed, max_steps=20_000, patience=20_000,
@@ -533,15 +535,15 @@ def drifting_graph():
     return reweighted(g, weight)
 
 
-# graph maker, criterion mode, whether its weight sums are exact
+# graph maker, penalty exponent n, whether its weight sums are exact
 EXACT_SUMS_CASES = {
-    "unit": (lambda: directed_gnp(40, 0.1, seed=21), "directed", True),
-    "int5": (int5_graph, "directed", True),
-    "int5-symmetrized": (lambda: symmetrize(int5_graph()), "undirected", True),
-    "one-weight-0.5": (one_half, "directed", False),
-    "integer-total-2**53": (lambda: heavy_total(2**53), "directed", False),
-    "integer-total-2**53-1": (lambda: heavy_total(2**53 - 1), "directed", True),
-    "float-drifting": (drifting_graph, "directed", False),
+    "unit": (lambda: directed_gnp(40, 0.1, seed=21), 1.0, True),
+    "int5": (int5_graph, 1.0, True),
+    "int5-symmetrized": (lambda: symmetrize(int5_graph()), 0.0, True),
+    "one-weight-0.5": (one_half, 1.0, False),
+    "integer-total-2**53": (lambda: heavy_total(2**53), 1.0, False),
+    "integer-total-2**53-1": (lambda: heavy_total(2**53 - 1), 1.0, True),
+    "float-drifting": (drifting_graph, 1.0, False),
 }
 
 
@@ -638,7 +640,7 @@ class TestMemoReuse:
         # At c=0.01 the chain roams and seldom undoes a move.
         g, _ = generate_benchmark(BenchmarkSpec(n1=40, n2=50, n0=410, p1=0.7,
                                                 p2=0.05, seed=3))
-        params = CriterionParams(rho=0.8, n=5.0, mode="undirected")
+        params = CriterionParams(rho=0.8, n=0.0)
         cfg = ChainConfig(c=0.01, seed=seed, max_steps=20000, patience=20000)
         _, spy, restores = reused_and_not(symmetrize(g), params, cfg,
                                           monkeypatch)
@@ -663,14 +665,14 @@ class TestMemoReuse:
     @pytest.mark.parametrize("case", sorted(EXACT_SUMS_CASES))
     def test_parks_where_the_sums_are_exact(self, case, monkeypatch):
         # The rule that keeps an undo memo also picks the pool walk.
-        make, mode, exact = EXACT_SUMS_CASES[case]
+        make, n, exact = EXACT_SUMS_CASES[case]
         g = make()
         assert sampler._exact_sums(g) is exact
         # Node 0 is on the graph the heavy edges are kept apart from.
         cfg = ChainConfig(c=0.05, seed=3, max_steps=4000, patience=4000,
                           init_members=(0,))
         fresh, spy, _ = reused_and_not(
-            g, CriterionParams(rho=0.8, n=1.0, mode=mode), cfg, monkeypatch)
+            g, CriterionParams(rho=0.8, n=n), cfg, monkeypatch)
         assert (sum(spy.evaluated) < sum(fresh.evaluated)) is exact
 
     def test_ping_pong_evaluates_nothing_new(self, figure1_null, monkeypatch):
@@ -695,8 +697,8 @@ class TestMemoReuse:
     def test_square_return_starts_a_new_memo(self, monkeypatch):
         # Add u, add v, remove u, remove v returns to S by another path: the
         # memo made at S was dropped, so S's proposals are evaluated again.
-        make, mode, _ = EXACT_SUMS_CASES["int5"]
-        params = CriterionParams(rho=0.8, n=1.0, mode=mode)
+        make, n, _ = EXACT_SUMS_CASES["int5"]
+        params = CriterionParams(rho=0.8, n=n)
         _, spy, _ = reused_and_not(make(), params, self.INT5_CFG, monkeypatch)
         evaluated = dict(zip((e.step for e in spy.events), spy.evaluated))
         parts = epochs(spy.events)
@@ -722,8 +724,8 @@ class TestMemoReuse:
         # takes back holds that accept (no bar, a delta), which a scan would
         # read as a rejection.  The chain weighs a scan once the memo covers
         # the pool; where the bars are low enough to scan, it starts none.
-        make, mode, _ = EXACT_SUMS_CASES["int5"]
-        g, params = make(), CriterionParams(rho=0.8, n=1.0, mode=mode)
+        make, n, _ = EXACT_SUMS_CASES["int5"]
+        g, params = make(), CriterionParams(rho=0.8, n=n)
         _, spy, restores = reused_and_not(g, params, self.INT5_CFG, monkeypatch)
         pools, sizes = PoolSpy(monkeypatch), []
         run_chain(g, params, self.INT5_CFG,
@@ -781,9 +783,9 @@ class TestPoolInvariant:
     @pytest.mark.parametrize("case", ["unit", "int5", "int5-symmetrized",
                                       "float-drifting"])
     def test_pool_is_s_and_its_neighbours(self, case, monkeypatch):
-        make, mode, exact = EXACT_SUMS_CASES[case]
+        make, n, exact = EXACT_SUMS_CASES[case]
         g = make()
-        params = CriterionParams(rho=0.8, n=1.0, mode=mode)
+        params = CriterionParams(rho=0.8, n=n)
         assert sampler._exact_sums(g) is exact
         events, wrong = pool_trace(g, params, self.CFG, monkeypatch)
         assert wrong == [] and sum(e.accepted for e in events) > 100
@@ -960,9 +962,10 @@ class TestConfigValidation:
             run_chain(g, PARAMS_N1, ChainConfig(init_members=(1, 1)))
 
     def test_tiny_graph_rejected(self):
-        g = DirectedGraph(1, [])
-        with pytest.raises(ChainConfigError):
-            run_chain(g, PARAMS_N1, ChainConfig(seed=0))
+        # Even at rho = 1, 2|S| < N needs N >= 3.
+        for g in (DirectedGraph(1, []), DirectedGraph(2, [(0, 1, 1.0)])):
+            with pytest.raises(ChainConfigError, match="no admissible subset"):
+                run_chain(g, PARAMS_N1, ChainConfig(seed=0))
 
     def test_no_admissible_subset_rejected(self):
         g = directed_gnp(4, 0.5, seed=1)
