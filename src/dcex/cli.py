@@ -22,7 +22,7 @@ import numpy as np
 from . import __version__
 from .baselines import DmmConfig, run_dmm, run_uce
 from .benchmark import BenchmarkSpec, generate
-from .criterion import CriterionParams
+from .criterion import CriterionDomainError, CriterionParams
 from .evaluation import best_pair_adjusted_jaccard, save_membership
 from .extraction import (
     NULL_DEGREE_PRESERVING,
@@ -216,8 +216,11 @@ def _cmd_extract(args) -> int:
             return None
 
         run = extract_all if args.method == "dce" else run_uce
-        report = run(g, config, jobs=args.jobs,
-                     chain_observer=first_restart if args.trace else None)
+        try:
+            report = run(g, config, jobs=args.jobs,
+                         chain_observer=first_restart if args.trace else None)
+        except CriterionDomainError as exc:  # W may overflow on these weights
+            raise CriterionDomainError(f"{args.graph}: {exc}") from None
         report.save_json(args.out)
         if args.trace:
             write_trace_csv(events, args.trace)

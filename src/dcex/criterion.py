@@ -106,6 +106,21 @@ def value_function(n_nodes, params):
     return value
 
 
+def check_value_bound(g, params) -> None:
+    """Raise :class:`CriterionDomainError` when W may overflow a float on
+    ``g``.  With m the total weight, q <= m + 1, so |W| <= rho*N*m +
+    (m+1)^n * m, and a move's delta is at most twice that."""
+    m = g.total_weight
+    try:
+        bound = 2.0 * (params.rho * g.n_nodes * m + (m + 1.0) ** params.n * m)
+    except OverflowError:  # float ** raises where * gives inf
+        bound = math.inf
+    if not math.isfinite(bound):
+        raise CriterionDomainError(
+            f"W may overflow a float at n={params.n} with total edge weight "
+            f"m={m:g}: 2*(rho*N*m + (m+1)**n * m) must be finite")
+
+
 class CommunityState:
     """A node subset with cached counts (O_S, B_in, B_out, |S|).
 
@@ -169,7 +184,8 @@ def score(g, state, params: CriterionParams) -> Score:
 
     ``state`` may be a :class:`CommunityState` or any iterable of node ids.
     Raises :class:`CriterionDomainError` outside the finite range
-    1 <= |S| <= rho*N; out-of-range subsets are never silently evaluated.
+    1 <= |S| <= rho*N, so out-of-range subsets are never silently evaluated,
+    and where W may overflow a float on ``g`` (:func:`check_value_bound`).
     ``q_d`` is the boundary's q at every n, n = 0 included.
     """
     if not isinstance(state, CommunityState):
@@ -180,6 +196,7 @@ def score(g, state, params: CriterionParams) -> Score:
             f"|S|={state.size} outside the criterion's domain for "
             f"N={g.n_nodes}, rho={params.rho} (need 1 <= |S| <= rho*N)"
         )
+    check_value_bound(g, params)
     return Score(
         value=value_function(g.n_nodes, params)(*state.counts()),
         q_d=q_coefficient(state.b_in, state.b_out),

@@ -331,9 +331,20 @@ def save_edge_list(g: DirectedGraph, path) -> None:
 
     Round-trips the labeled edge multiset through :func:`load_edge_list`.
     Isolated nodes do not appear in the format and are therefore dropped on
-    reload.
+    reload.  Raises :class:`GraphValidationError`, before the file is
+    opened, on a label whose text would not read back as that label: empty,
+    with whitespace, starting with ``#`` or equal to another label's text.
     """
     names = [f"{x}" for x in (g.labels if g.labels is not None else range(g.n_nodes))]
+    if g.labels is not None:
+        seen = set()
+        for name in names:
+            if name.split() != [name] or name[0] == "#" or name in seen:
+                raise GraphValidationError(
+                    f"label {name!r} does not load back from an edge list: a "
+                    "label must be nonempty, hold no whitespace, not start "
+                    "with '#' and differ from every other label as text")
+            seen.add(name)
     with open(path, "w", encoding="utf-8") as fh:
         fh.writelines(
             f"{names[s]} {names[d]} {str(int(w)) if w.is_integer() else repr(w)}\n"

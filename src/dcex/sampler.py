@@ -39,6 +39,7 @@ import numpy as np
 from .criterion import (
     CommunityState,
     Score,
+    check_value_bound,
     counts_after_move,
     max_admissible_size,
     score,
@@ -160,7 +161,8 @@ def run_chain(
 
     Fully deterministic given ``config.seed``.  On a graph with no edges the
     chain terminates immediately with the initial state and ``stopped`` set
-    to "no_edges".
+    to "no_edges".  Where W may overflow a float on ``g``
+    (:func:`~dcex.criterion.check_value_bound`), it raises before any step.
 
     ``observer``, when given, is called once per proposal, after the move
     (if accepted) is applied, as ``observer(event, state)``: ``event`` is
@@ -174,21 +176,19 @@ def run_chain(
 
     A proposal repeated from an unchanged subset is a lookup of its delta, log
     ratio and acceptance bar (it still draws its own uniform); an accepted
-    move walks its node's merged row once, in O(degree), and starts a new
-    memo.  When every edge weight is an integer and the total weight is below
-    2**53 (:func:`_exact_sums`), all counts and pool weights are exact sums.
-    Then a node outside S is in the pool exactly when its weight to or from S
-    is nonzero, and the walk keeps no count of the members adjacent to each
-    node; on other graphs it keeps that count, since a sum may not fall back
-    to 0.0.  Exact sums also mean that a memo made at S holds on any later
-    visit to S: an accepted move keeps the memo of the subset it left, and
-    the next accepted move swaps it back in when it moves the same node,
-    undoing the last move; any other accepted move starts a new memo.
-    When the memo covers the whole pool, holds no outright accept, and the
-    mean acceptance bar says the run of rejections should last at least
-    ``_SCAN_MIN`` more steps, the run is taken in numpy
-    (:func:`_scan_rejections`): it reads the same draws, stops at the same
-    step and reports the same events as the step loop.
+    move walks its node's merged row once, in O(degree).  When every weight
+    is an integer and the total is below 2**53 (:func:`_exact_sums`), all
+    sums are exact: a node outside S is in the pool exactly when its weight
+    to or from S is nonzero, so no count of adjacent members is kept, and a
+    memo made at S holds on a return to S.  An accepted move keeps the memo
+    it leaves in an undo slot and, on exact sums, swaps it back in when it
+    moves the node the last accepted move moved; otherwise it starts a new
+    memo, so a float graph's undo slot is never read.  A step that missed
+    the memo or accepted a move, after which the memo covers the pool,
+    weighs a scan: with no outright accept in the pool and a mean acceptance
+    bar that says the rejections should last ``_SCAN_MIN`` more steps, the
+    run is taken in numpy (:func:`_scan_rejections`), which reads the same
+    draws, stops at the same step and reports the same events as the loop.
     """
     n = g.n_nodes
     top = max_admissible_size(n, params.rho)
@@ -196,6 +196,7 @@ def run_chain(
         raise ChainConfigError(
             f"no admissible subset exists for N={n}, rho={params.rho}"
         )
+    check_value_bound(g, params)
     rng = np.random.default_rng(config.seed)
 
     if config.init_members is not None:
@@ -270,7 +271,6 @@ def run_chain(
     best_w = w_cur
     accepted = 0
     since_improve = 0
-    scan = True  # no scan has been weighed since the last accepted move
     stopped = "max_steps"
     step = 0
     # What proposing each node from the current state gives; S and
@@ -279,7 +279,7 @@ def run_chain(
     # The memo of the subset the last accepted move left, and the node that
     # move moved: moving it again goes back to that subset.  With float
     # weights (x + w) - w may differ from x, so the subset gone back to may
-    # not have the counts the memo was made with: keep none.
+    # not have the counts the memo was made with: the slot is never read.
     undo, moved = {}, -1
 
     pool_len = len(items)  # changes only on an accepted move
@@ -330,10 +330,7 @@ def run_chain(
 
         if accept:
             accepted += 1
-            scan = True
-            if not exact:
-                memo.clear()
-            elif u == moved:
+            if exact and u == moved:
                 memo, undo = undo, memo
             else:
                 memo, undo = {}, memo
@@ -395,14 +392,14 @@ def run_chain(
             stopped = "patience"
             break
 
-        if scan and len(memo) == pool_len:
+        if (outcome is None or accept) and len(memo) == pool_len:
             # Every pool node has been proposed from this state, so until a
-            # move is accepted each step is a lookup.  Take the rest of the
-            # run in numpy if it is expected to last scan_min steps: the
+            # move is accepted each step is a lookup and reads nothing new:
+            # only a miss or an accept can be the first step to see this.
+            # Take the run in numpy if it should last scan_min steps: the
             # chance of an accept per step is the mean bar.  A restored memo
             # may hold the outright accept that left this state before (bar
             # None, with a delta), which the scan would read as a rejection.
-            scan = False
             bars = [memo[v][5] for v in items]
             limit = min(patience - since_improve, max_steps - step)
             outright = None in bars and any(

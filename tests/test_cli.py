@@ -257,6 +257,26 @@ class TestExtractCommand:
         assert "RuntimeWarning" not in err
         assert not out.exists()
 
+    @pytest.mark.parametrize("method", ["dce", "uce"])
+    def test_weights_that_overflow_w_exit_2_naming_path(self, tmp_path, capsys,
+                                                        method):
+        # q^n overflows at n = 5; UCE runs at n = 0, where q^n is 1.
+        graph = tmp_path / "heavy.edgelist"
+        graph.write_text("a b 1e100\nb c 1e100\nc a 1e100\nc d 1e100\n"
+                         "d c 1e100\nd e 1\ne a 1\n")
+        out = tmp_path / "r.json"
+        code = run_cli("extract", "--graph", graph, "--method", method,
+                       "--null-replicates", 0, "--max-steps", 200,
+                       "--patience", 100, "--out", out)
+        err = capsys.readouterr().err
+        if method == "uce":
+            assert (code, err) == (0, "")
+            return
+        assert code == 2
+        assert err.startswith(f"error: {graph}: W may overflow a float at n=5.0")
+        assert "Traceback" not in err
+        assert not out.exists()
+
 
 class TestBenchmarkCommand:
     def test_generates_replicate_files(self, tmp_path):

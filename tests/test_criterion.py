@@ -1,7 +1,9 @@
+import sys
+
 import numpy as np
 import pytest
 
-from dcex import DirectedGraph
+from dcex import DirectedGraph, run_chain
 from dcex.criterion import (
     CommunityState,
     CriterionDomainError,
@@ -14,6 +16,7 @@ from dcex.criterion import (
     score,
     value_function,
 )
+from dcex.sampler import ChainConfig
 
 from helpers import (
     brute_force_optimum,
@@ -187,6 +190,46 @@ class TestAdmissibility:
         # An infinite n makes q^n infinite for every q > 1.
         with pytest.raises(ValueError, match="penalty exponent n must be finite"):
             CriterionParams(n=float("inf"))
+
+
+def heavy_graph(w):
+    """Two 2-cycles of weight ``w`` and a unit edge out of them: the
+    boundary of {1} is balanced, so q is near m + 1 = 4w + 2."""
+    return DirectedGraph(4, [(0, 1, w), (1, 0, w), (1, 2, w), (2, 1, w),
+                             (2, 3, 1.0)])
+
+
+class TestValueBound:
+    """With m the total weight, |W| <= rho*N*m + (m+1)^n * m; twice that
+    must be a finite float, or W and its deltas may overflow."""
+
+    PARAMS = CriterionParams(rho=1.0, n=5.0)
+
+    def test_overflowing_penalty_rejected_before_any_step(self):
+        g = heavy_graph(1e100)
+        with pytest.raises(CriterionDomainError, match=r"n=5\.0 .*m=4e\+100"):
+            score(g, [1], self.PARAMS)
+        steps = []
+        with pytest.raises(CriterionDomainError, match=r"n=5\.0 .*m=4e\+100"):
+            run_chain(g, self.PARAMS, ChainConfig(seed=0),
+                      observer=lambda event, state: steps.append(event))
+        assert steps == []
+
+    def test_n_zero_counts_only_the_density_term(self):
+        s = score(heavy_graph(1e100), [1], CriterionParams(rho=1.0, n=0.0))
+        assert s.value == -4e100
+
+    def test_graph_just_under_the_bound_runs(self):
+        # 2 * (m+1)^5 * m dominates the bound: m = 4w + 1 just below
+        # (max/2)^(1/6), and 2% more weight crosses it.
+        w = 0.99 * (sys.float_info.max / 2) ** (1 / 6) / 4
+        g = heavy_graph(w)
+        s = score(g, [1], self.PARAMS)
+        assert np.isfinite(s.value) and s.value < 0
+        r = run_chain(g, self.PARAMS, ChainConfig(seed=0, max_steps=200))
+        assert r.steps_run > 0 and np.isfinite(r.best_score.value)
+        with pytest.raises(CriterionDomainError):
+            score(heavy_graph(1.02 * w), [1], self.PARAMS)
 
 
 def random_move_sequence(g, params, n_moves, seed):

@@ -1,5 +1,6 @@
 import math
 import multiprocessing
+import warnings
 from collections import Counter
 from contextlib import closing
 
@@ -11,7 +12,6 @@ from hypothesis import strategies as st
 from dcex import (
     BenchmarkSpec,
     DirectedGraph,
-    GraphValidationError,
     empirical_p_value,
     extract_all,
     extraction,
@@ -123,6 +123,15 @@ class TestRandomizeSameEdgeCount:
         b = randomize(g, NULL_SAME_EDGE_COUNT, 123)
         assert edge_multiset(a) == edge_multiset(b)
 
+    @pytest.mark.parametrize("n", [0, 1])
+    def test_graph_with_no_slot_comes_back_edgeless(self, n):
+        # N(N-1) = 0 slots: the slot ids are divided by N - 1 = 0 or -1,
+        # which numpy does without a warning on an empty array.
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            r = randomize(DirectedGraph(n, []), NULL_SAME_EDGE_COUNT, 0)
+        assert (r.n_nodes, r.edge_count) == (n, 0)
+
 
 @pytest.mark.parametrize("model", [NULL_SAME_EDGE_COUNT, NULL_DEGREE_PRESERVING])
 def test_randomize_keeps_the_labels(model):
@@ -171,10 +180,17 @@ class TestRandomizeDegreePreserving:
         assert r.meta["accepted_swaps"] == 0
         assert r.meta["attempts"] > 0
 
-    def test_single_edge_rejected(self):
-        g = DirectedGraph(2, [(0, 1, 1.0)])
-        with pytest.raises(GraphValidationError, match="at least 2"):
-            randomize(g, NULL_DEGREE_PRESERVING, 0)
+    @pytest.mark.parametrize("edges, meta", [
+        ([], (0, 0, 0)),  # no swap target, so no attempt
+        ([(0, 1, 2.0)], (10, 0, 200)),  # each attempt pairs the edge with itself
+    ], ids=["no-edge", "one-edge"])
+    def test_too_few_edges_to_swap_come_back_unchanged(self, edges, meta):
+        g = DirectedGraph(3, edges)
+        r = randomize(g, NULL_DEGREE_PRESERVING, 5)
+        for col in ("edge_src", "edge_dst", "edge_weight"):
+            assert getattr(r, col).tolist() == getattr(g, col).tolist()
+        assert (r.meta["target_swaps"], r.meta["accepted_swaps"],
+                r.meta["attempts"]) == meta
 
     def test_unknown_model_rejected(self):
         g = DirectedGraph(3, [(0, 1, 1.0), (1, 2, 1.0)])

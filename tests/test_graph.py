@@ -1,6 +1,7 @@
 import gc
 import hashlib
 import pickle
+import re
 
 import numpy as np
 import pytest
@@ -526,6 +527,21 @@ class TestRoundTrip:
             original = {(str(s), str(d)): w for s, d, w in labeled_edges(g)}
             reloaded = {(s, d): w for s, d, w in labeled_edges(g2)}
             assert original == reloaded
+
+    @pytest.mark.parametrize("labels, bad", [
+        (("#a", "b c", "d"), "#a"),  # read back as a comment
+        (("a", "b c", "d"), "b c"),  # read back as two tokens
+        (("a", "", "d"), ""),
+        ((1, "1", "d"), "1"),  # two labels with the same text
+    ])
+    def test_labels_that_do_not_load_back_rejected(self, tmp_path, labels, bad):
+        g = DirectedGraph(3, [(0, 1, 1.0), (1, 2, 2.0), (2, 0, 1.0)],
+                          labels=labels)
+        path = tmp_path / "g.edgelist"
+        with pytest.raises(GraphValidationError,
+                           match=f"label {re.escape(repr(bad))} does not load"):
+            save_edge_list(g, path)
+        assert not path.exists()
 
     def test_float_weights_round_trip_exactly(self, tmp_path):
         g = DirectedGraph(3, [(0, 1, 0.1), (1, 2, 2.5)], labels=("x", "y", "z"))

@@ -16,9 +16,13 @@ the subset its last accepted move left in place of the memos of the 16
 subsets it left last.  The report digests were recorded again when the
 criterion's config echo lost its mode and UCE's reports took their echoed n
 (0.0) and each community's q_d (its boundary's q) from the n = 0 criterion
-it runs; every other field stayed the same.  Any change to the events, the
-RNG stream, the reports, the null graphs, the counts or the partitions shows
-here.
+it runs; every other field stayed the same.  The scan digests (where each
+scan of a chain began and how many steps it took) and the report of a round
+whose nulls search a residual too small to swap were recorded before the
+chain weighed its scans without a flag and before that residual went
+through ``randomize`` rather than around it.  Any change to the events, the
+RNG stream, the scans, the reports, the null graphs, the counts or the
+partitions shows here.
 """
 
 import hashlib
@@ -29,8 +33,8 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from dcex import (DirectedGraph, generate_benchmark, randomize, run_chain,
-                  save_edge_list, symmetrize)
+from dcex import (DirectedGraph, extract_all, extraction, generate_benchmark,
+                  randomize, run_chain, save_edge_list, symmetrize)
 from dcex.baselines import DmmConfig, run_dmm, run_uce
 from dcex.benchmark import BenchmarkSpec
 from dcex.cli import main
@@ -74,6 +78,34 @@ CHAIN_DIGESTS = {
         "d094b722d66f804f5833ebbe4acf728b0e47b2c937eee9f7ac2929a95a380b28",
 }
 
+# sha256 of repr(MemoSpy.scans): each scan's (step it began after, steps).
+SCAN_DIGESTS = {
+    ("directed", "unit", 0.05):
+        "4f53cda18c2baa0c0354bb5f9a3ecbe5ed12ab4d8e11ba873c2f11161202b945",
+    ("directed", "unit", 1000.0):
+        "a4cae3cf473bdce5365d0d49004dc47478cec64c10b48f67a4065f3b567178de",
+    ("directed", "float", 0.05):
+        "4f53cda18c2baa0c0354bb5f9a3ecbe5ed12ab4d8e11ba873c2f11161202b945",
+    ("directed", "float", 1000.0):
+        "cc0d5d4cde8364daf0bc24a78fa0831703225cb984082b3e00995d2e688c91d6",
+    ("undirected", "unit", 0.05):
+        "4f53cda18c2baa0c0354bb5f9a3ecbe5ed12ab4d8e11ba873c2f11161202b945",
+    ("undirected", "unit", 1000.0):
+        "24a736bdabb87d84d1db08c25807631304447a26eb8c1e86acfc2be78690c686",
+    ("undirected", "float", 0.05):
+        "4f53cda18c2baa0c0354bb5f9a3ecbe5ed12ab4d8e11ba873c2f11161202b945",
+    ("undirected", "float", 1000.0):
+        "bdfc4f2cb47f7e6dbdf84375ab5e875b0e7df987719a83d2480656a676bf1484",
+    ("directed", "int5", 0.05):
+        "1cf8b7a429d6ec8d17bdcf5d12e479e71b47b9a73dd158f77bc5a15762f84efe",
+    ("directed", "int5", 1000.0):
+        "4a32282957afd133a37b3d8b5ed2998c8504923ddfff3b6dd6c8ab7b3249f35d",
+    ("undirected", "int5", 0.05):
+        "4f53cda18c2baa0c0354bb5f9a3ecbe5ed12ab4d8e11ba873c2f11161202b945",
+    ("undirected", "int5", 1000.0):
+        "a9fc18ee2ffa9f610654ace07764d7bbbea9477e5fc85bead3cace6e5e379d28",
+}
+
 EXTRACT_REPORT_DIGEST = (
     "d3cbed40da7250c933d4e40064cd01895c4cd01bae0ec20e0d6251f11feb9962"
 )
@@ -93,6 +125,11 @@ PLANTED_REPORT_DIGESTS = {
 # UCE on a planted graph at a low c, where most proposals are accepted.
 UCE_REPORT_DIGEST = (
     "7bc57bed3b41e4561e16a8e1c41a5a484ab47910a0509729312e7f4f9c4bb43a"
+)
+
+# Two rounds with degree-preserving nulls: the second's residual has one edge.
+SMALL_RESIDUAL_REPORT_DIGEST = (
+    "7a482d89002750d6c03963483a84d53b1fb69c11edb20769eb916c70b921f62e"
 )
 
 # Subset counts and DMM partitions on planted graphs with float weights,
@@ -175,6 +212,34 @@ def uce_report_digest(tmp_path):
     return hashlib.sha256(out.read_bytes()).hexdigest()
 
 
+def small_residual_report_digest(monkeypatch):
+    """sha256 of the report of ``extract_all`` on a heavy 5-node core whose
+    light edges reach 9 periphery nodes, beside one edge 5 -> 6 of its own.
+    Round 0 takes the core and with it every light edge, so round 1 searches
+    a residual of one edge, and so do its nulls: no swap can be made."""
+    core = [(0, 1), (0, 2), (0, 3), (0, 4), (1, 3), (1, 4), (2, 0), (2, 4),
+            (3, 1), (3, 2), (3, 4), (4, 1), (4, 2), (4, 3)]
+    light = [(7, 2), (0, 8), (9, 0), (0, 10), (11, 0), (3, 12), (13, 2),
+             (3, 14), (15, 1), (5, 6)]
+    g = DirectedGraph(16, [(a, b, 10.0) for a, b in core]
+                      + [(a, b, 1.0) for a, b in light])
+    searched = []  # the edge count of every graph a search ran on
+    search = extraction.search
+    monkeypatch.setattr(extraction, "search",
+                        lambda ng, *a: searched.append(ng.edge_count)
+                        or search(ng, *a))
+    report = extract_all(g, ExtractionConfig(
+        criterion=CriterionParams(rho=0.8, n=1.0),
+        chain=ChainConfig(c=0.5, max_steps=500, patience=250, seed=1),
+        restarts=2, max_communities=3, null_replicates=9,
+        null_model="degree_preserving", significance_quantile=0.85))
+    assert report.member_sets() == [frozenset(range(5))]
+    assert report.stopped_reason == "non_significant"
+    assert searched.count(1) > 1  # round 1's own search and its nulls'
+    data = json.dumps(report.to_dict(), indent=2, sort_keys=True) + "\n"
+    return hashlib.sha256(data.encode()).hexdigest()
+
+
 def float_planted_graph(seed):
     """Planted N=500 graph with weights uniform in [0.5, 2]."""
     g, _ = generate_benchmark(BenchmarkSpec(n1=40, n2=50, n0=410, p1=0.7,
@@ -235,7 +300,9 @@ def test_chain_event_stream_is_pinned(case, monkeypatch):
     assert chain_digest(*case, observer=spy) == CHAIN_DIGESTS[case]
     if case[-1] == 1000.0:  # near-frozen: its long rejection runs are scanned
         assert sum(taken for _, taken in spy.scans) > 0
-    # Sums round on float weights, so no memo is kept for an undo.
+    assert (hashlib.sha256(repr(spy.scans).encode()).hexdigest()
+            == SCAN_DIGESTS[case])
+    # Sums round on float weights, so the undo slot is never read.
     evaluates, restores = undo_slot(spy.events, case[1] != "float")
     assert spy.evaluated == evaluates
     if case[1] != "float" and case[-1] == 0.05:  # a roaming chain undoes moves
@@ -254,6 +321,10 @@ def test_planted_extract_report_is_pinned(tmp_path, null_model):
 
 def test_uce_report_is_pinned(tmp_path):
     assert uce_report_digest(tmp_path) == UCE_REPORT_DIGEST
+
+
+def test_nulls_of_a_residual_too_small_to_swap_are_pinned(monkeypatch):
+    assert small_residual_report_digest(monkeypatch) == SMALL_RESIDUAL_REPORT_DIGEST
 
 
 def test_from_members_counts_are_pinned():
