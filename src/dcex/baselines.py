@@ -21,6 +21,7 @@ import numpy as np
 from .evaluation import PartitionLabels
 from .extraction import ExtractionConfig, ExtractionReport, extract_all
 from .graph import DirectedGraph, subgraph_complement, symmetrize
+from .sampler import require_count
 
 _GAIN_TOL = 1e-12
 _KRYLOV_DIM = 40  # basis vectors per Krylov build
@@ -34,10 +35,8 @@ class DmmConfig:
     refinement_passes: int = 10
 
     def __post_init__(self):
-        if self.target_parts < 2:
-            raise ValueError("target_parts must be >= 2")
-        if self.refinement_passes < 0:
-            raise ValueError("refinement_passes must be >= 0")
+        for name, low in (("target_parts", 2), ("refinement_passes", 0)):
+            require_count(name, getattr(self, name), low)
 
 
 def run_uce(
@@ -206,9 +205,8 @@ def _refine_split(sub, side, k_in, k_out, m, passes):
     ``sub`` is the part's induced subgraph and ``side`` a boolean array over
     its nodes (True = side A); ``k_in`` and ``k_out`` are their degrees in
     the whole graph of weight ``m``.  A move's delta walks the node's
-    neighbour row in ``sub`` twice, summing its out-weights and then its
-    in-weights, in O(degree).  No move empties a side, and Q is monotone
-    non-decreasing across passes by construction.
+    neighbour row in ``sub`` once, in O(degree).  No move empties a side,
+    and Q is monotone non-decreasing across passes by construction.
     """
     kin_side = [float(k_in[~side].sum()), float(k_in[side].sum())]
     kout_side = [float(k_out[~side].sum()), float(k_out[side].sum())]
@@ -224,13 +222,11 @@ def _refine_split(sub, side, k_in, k_out, m, passes):
                 continue  # never empty a side
             w_to_cur = 0.0
             w_to_oth = 0.0
-            nbrs, w_in, w_out = sub.nbr_rows[i]
-            for wts in (w_out, w_in):  # not one pass of a + b: sums round
-                for j, w in zip(nbrs, wts):
-                    if side[j] == cur:
-                        w_to_cur += w
-                    else:
-                        w_to_oth += w
+            for j, a, b in zip(*sub.nbr_rows[i]):
+                if side[j] == cur:
+                    w_to_cur += a + b
+                else:
+                    w_to_oth += a + b
             d_internal = w_to_oth - w_to_cur
             d_expected = (
                 k_in[i] * (kout_side[oth] - (kout_side[cur] - k_out[i]))

@@ -24,7 +24,7 @@ import numpy as np
 
 from .criterion import CriterionParams, Score, max_admissible_size
 from .graph import DirectedGraph, subgraph_complement
-from .sampler import ChainConfig, search
+from .sampler import ChainConfig, require_count, search
 from .seeding import derive_seed, sample_without_replacement
 
 NULL_SAME_EDGE_COUNT = "same_edge_count"
@@ -68,12 +68,9 @@ class ExtractionConfig:
     significance_quantile: float = 0.95
 
     def __post_init__(self):
-        if self.restarts < 1:
-            raise ValueError("restarts must be >= 1")
-        if self.max_communities < 0:
-            raise ValueError("max_communities must be >= 0")
-        if self.null_replicates < 0:
-            raise ValueError("null_replicates must be >= 0")
+        for name, low in (("restarts", 1), ("max_communities", 0),
+                          ("null_replicates", 0)):
+            require_count(name, getattr(self, name), low)
         if self.null_model not in (NULL_SAME_EDGE_COUNT, NULL_DEGREE_PRESERVING):
             raise ValueError(f"unknown null model {self.null_model!r}")
         if not (0.0 < self.significance_quantile < 1.0):

@@ -46,10 +46,10 @@ class DirectedGraph:
     neighbours either way, ``w_in[i]`` the weight of ``nbrs[i] -> u`` and
     ``w_out[i]`` that of ``u -> nbrs[i]``, each 0.0 for an absent edge.
     ``adj_nbrs[u]`` is the same ``nbrs`` list.  Rows share one int object
-    per node and one float per edge.  Read rows by node id only: ``len`` and
-    iteration of a row map count the rows made so far.  Pickles carry no
-    rows.  Instances are immutable and safe to share between concurrent
-    readers.
+    per node; each row cuts its weights from its own edges.  Read rows by
+    node id only: ``len`` and iteration of a row map count the rows made so
+    far.  Pickles carry no rows.  Instances are immutable and safe to share
+    between concurrent readers.
     """
 
     __slots__ = (
@@ -229,12 +229,12 @@ def _offsets(ids, n):
 def _row_maps(n, src, dst, weight):
     """The row maps, in ``_ROW_MAPS`` order, of a graph whose edge columns
     are sorted by (src, dst).  A stable sort by dst orders the edges by (dst,
-    src), so in-neighbours come out sorted too.  No maker holds its own map
-    or the graph, so a dropped graph leaves no reference cycle."""
+    src), so in-neighbours come out sorted too; row u cuts its weights from
+    its own edges.  No maker holds its own map or the graph, so a dropped
+    graph leaves no reference cycle."""
     by_dst = radix_argsort(dst, n)
     out_at, in_at = _offsets(src, n), _offsets(dst, n)
     node = list(range(n)).__getitem__  # one int object per node
-    floats = _Rows(lambda _: weight.tolist())  # floats[0]: one float per edge
 
     def nbr_row(u):
         # Merge the sorted out- and in-neighbours, each list ended by n; a
@@ -242,8 +242,7 @@ def _row_maps(n, src, dst, weight):
         edges_in = by_dst[in_at[u]:in_at[u + 1]]  # IndexError past the last node
         o, o_end = out_at[u:u + 2].tolist()
         outs, srcs = dst[o:o_end].tolist() + [n], src[edges_in].tolist() + [n]
-        ins = edges_in.tolist()
-        ws = floats[0]
+        ws_out, ws_in = weight[o:o_end].tolist(), weight[edges_in].tolist()
         nbrs, w_in, w_out = [], [], []
         i = j = 0
         while True:
@@ -252,8 +251,8 @@ def _row_maps(n, src, dst, weight):
             if v == n:
                 return nbrs, w_in, w_out
             nbrs.append(node(v))
-            w_in.append(ws[ins[j]] if b == v else 0.0)
-            w_out.append(ws[o + i] if a == v else 0.0)
+            w_in.append(ws_in[j] if b == v else 0.0)
+            w_out.append(ws_out[i] if a == v else 0.0)
             i += a == v
             j += b == v
 
@@ -268,8 +267,28 @@ def load_edge_list(path, directed: bool = True) -> DirectedGraph:
     arbitrary non-whitespace tokens and are assigned dense node ids in order
     of first appearance.  Duplicate (src, dst) lines have their weights
     summed.  With ``directed=False`` each line is stored as two opposite
-    directed edges of equal weight.
+    directed edges of equal weight.  A file that is not UTF-8 text raises
+    :class:`EdgeListParseError` naming the line of its first bad byte.
     """
+    try:
+        return _read_edge_list(path, directed)
+    except UnicodeDecodeError:
+        raise EdgeListParseError(
+            f"{path}:{_first_non_utf8_line(path)}: not UTF-8 text") from None
+
+
+def _first_non_utf8_line(path) -> int:
+    """Number of the first line of ``path`` that is not UTF-8 text.  Text
+    mode decodes ahead of the line it hands out, so its error does not say."""
+    with open(path, "rb") as fh:
+        for lineno, raw in enumerate(fh.read().splitlines(), start=1):
+            try:
+                raw.decode("utf-8")
+            except UnicodeDecodeError:
+                return lineno
+
+
+def _read_edge_list(path, directed):
     ids: dict[str, int] = {}  # label -> node id, in order of first appearance
     src: list[int] = []
     dst: list[int] = []

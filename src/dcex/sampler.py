@@ -31,6 +31,7 @@ up to the next accepted step.
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass, replace
 from typing import Callable, NamedTuple
 
@@ -60,6 +61,18 @@ class ChainConfigError(ValueError):
     """Invalid sampler configuration (bad init set, degenerate graph, ...)."""
 
 
+def require_count(name, value, low, error=ValueError):
+    """Raise ``error`` naming ``name`` unless ``value`` is an integer of at
+    least ``low``: a Python or numpy int passes, a float such as 2.0 does
+    not."""
+    try:
+        operator.index(value)
+    except TypeError:
+        raise error(f"{name} must be an integer, got {value!r}") from None
+    if value < low:
+        raise error(f"{name} must be >= {low}")
+
+
 @dataclass(frozen=True)
 class ChainConfig:
     """Sampler configuration.
@@ -83,10 +96,10 @@ class ChainConfig:
     def __post_init__(self):
         if not 0 < self.c < math.inf:  # also rejects NaN
             raise ChainConfigError(f"c must be positive and finite, got {self.c}")
-        if self.max_steps is not None and self.max_steps < 1:
-            raise ChainConfigError("max_steps must be >= 1")
-        if self.patience is not None and self.patience < 1:
-            raise ChainConfigError("patience must be >= 1")
+        for name in ("max_steps", "patience"):
+            value = getattr(self, name)
+            if value is not None:
+                require_count(name, value, 1, ChainConfigError)
         if (
             self.max_steps is not None
             and self.patience is not None

@@ -235,6 +235,14 @@ class TestDmm:
         with pytest.raises(ValueError):
             DmmConfig(refinement_passes=-1)
 
+    # 2.5 parts would make 3; 1.5 passes would fail inside range().
+    @pytest.mark.parametrize("field, value", [
+        ("target_parts", 2.5), ("target_parts", 3.0), ("refinement_passes", 1.5),
+    ])
+    def test_counts_must_be_integers(self, field, value):
+        with pytest.raises(ValueError, match=f"{field} must be an integer"):
+            DmmConfig(**{field: value})
+
     def test_directed_modularity_hand_value(self):
         # one edge 0->1 plus 1->2: m=2; perfect-partition bookkeeping
         g = DirectedGraph(3, [(0, 1, 1.0), (1, 2, 1.0)])

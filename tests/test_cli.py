@@ -246,6 +246,15 @@ class TestExtractCommand:
         assert f"{graph}: no edges" in capsys.readouterr().err
         assert not out.exists()
 
+    def test_edge_list_not_utf8_exits_2_naming_path_and_line(self, tmp_path,
+                                                              capsys):
+        graph = tmp_path / "latin1.edgelist"
+        graph.write_bytes(b"a b 1\nc d\xff 2\nb c\n")
+        out = tmp_path / "r.json"
+        assert run_cli("extract", "--graph", graph, "--out", out) == 2
+        assert capsys.readouterr().err.startswith(f"error: {graph}:2: ")
+        assert not out.exists()
+
     def test_overflowing_total_weight_exits_2_naming_path(self, tmp_path, capsys):
         # A numpy RuntimeWarning is an error in this suite and would exit 1.
         graph = tmp_path / "heavy.edgelist"

@@ -547,6 +547,15 @@ class TestConfigValidation:
         with pytest.raises(ValueError):
             fast_config(null_model="bogus")
 
+    # 2.0 restarts would fail inside range() at run time; 1.5 communities
+    # would extract 2.
+    @pytest.mark.parametrize("field, value", [
+        ("restarts", 2.0), ("max_communities", 1.5), ("null_replicates", 9.0),
+    ])
+    def test_counts_must_be_integers(self, field, value):
+        with pytest.raises(ValueError, match=f"{field} must be an integer"):
+            fast_config(**{field: value})
+
     def test_quantile_open_interval(self):
         with pytest.raises(ValueError):
             fast_config(significance_quantile=1.0)

@@ -104,6 +104,13 @@ class TestLoadEdgeList:
             load_edge_list(path)
         assert str(info.value).startswith(f"{path}:4: ")
 
+    def test_bytes_that_are_not_utf8_name_path_and_line(self, tmp_path):
+        path = tmp_path / "g.edgelist"
+        path.write_bytes("a é 1\n".encode() + b"c d\xff 2\nb c\n")
+        with pytest.raises(EdgeListParseError) as info:
+            load_edge_list(path)
+        assert str(info.value) == f"{path}:2: not UTF-8 text"
+
     def test_comments_and_blanks_skipped(self, tmp_path):
         g = load_edge_list(write(tmp_path, "# header\n\na b 1.5\n  # indented\n"))
         assert edge_multiset(g) == {(0, 1): 1.5}
@@ -454,10 +461,10 @@ class TestRowsOnFirstRead:
         assert made_rows(g) == {"adj_nbrs": set(), "nbr_rows": walked | counted}
         assert len(walked | counted) < g.n_nodes // 10
 
-    def test_rows_share_node_ints_and_edge_floats(self):
+    def test_rows_share_node_ints(self):
         g = directed_gnp(30, 0.2, seed=2, float_weights=True)
         node = {}
-        weight = {}  # (u, v) -> the float object in u's row
+        weight = {}  # (u, v) -> the weight in u's row
         for u in range(g.n_nodes):
             nbrs, _, w_out = g.nbr_rows[u]
             assert nbrs is g.adj_nbrs[u]
@@ -471,7 +478,7 @@ class TestRowsOnFirstRead:
             nbrs, w_in, _ = g.nbr_rows[v]
             for u, a in zip(nbrs, w_in):
                 if a:
-                    assert weight[(u, v)] is a
+                    assert weight[(u, v)] == a
                     seen_in += 1
         assert seen_in == g.edge_count
 

@@ -20,8 +20,10 @@ it runs; every other field stayed the same.  The scan digests (where each
 scan of a chain began and how many steps it took) and the report of a round
 whose nulls search a residual too small to swap were recorded before the
 chain weighed its scans without a flag and before that residual went
-through ``randomize`` rather than around it.  Any change to the events, the
-RNG stream, the scans, the reports, the null graphs, the counts or the
+through ``randomize`` rather than around it.  The 2- and 4-part DMM
+partitions were recorded before DMM's refinement walked each neighbour row
+once, where it had walked it twice.  Any change to the events, the RNG
+stream, the scans, the reports, the null graphs, the counts or the
 partitions shows here.
 """
 
@@ -137,9 +139,12 @@ SMALL_RESIDUAL_REPORT_DIGEST = (
 FROM_MEMBERS_DIGEST = (
     "6e2129f2bc87081194029bc1a7350c79a252a241609ba11e0c06dbe04ba03507"
 )
-DMM_PARTITION_DIGEST = (
-    "1b6bf59c3a523a2882685634eb5d7110a102fd21c39d47ed1b0efa731d225cf8"
-)
+# At 4 parts no fourth split gains, so the partition is the 3-part one.
+DMM_PARTITION_DIGESTS = {
+    2: "d02f77247052706050998b38e1a76dabdf48e545b4aa509f94c6d5a60322ac0b",
+    3: "1b6bf59c3a523a2882685634eb5d7110a102fd21c39d47ed1b0efa731d225cf8",
+    4: "1b6bf59c3a523a2882685634eb5d7110a102fd21c39d47ed1b0efa731d225cf8",
+}
 
 NULL_GRAPH_DIGESTS = {
     "gnp_seed_0": "a10e9e7b4356efbef506ea4ed266f4c80c1e407b758a148db7db1bac5a63f082",
@@ -264,10 +269,11 @@ def from_members_digest():
     return hashlib.sha256("\n".join(lines).encode()).hexdigest()
 
 
-def dmm_partition_digest():
+def dmm_partition_digest(target_parts):
     """sha256 of the ``run_dmm`` assignments on float-weighted planted graphs."""
-    lines = [repr(sorted(run_dmm(float_planted_graph(seed),
-                                 DmmConfig(target_parts=3)).assignments.items()))
+    config = DmmConfig(target_parts=target_parts)
+    lines = [repr(sorted(run_dmm(float_planted_graph(seed), config)
+                         .assignments.items()))
              for seed in range(3)]
     return hashlib.sha256("\n".join(lines).encode()).hexdigest()
 
@@ -332,7 +338,8 @@ def test_from_members_counts_are_pinned():
 
 
 def test_dmm_partitions_are_pinned():
-    assert dmm_partition_digest() == DMM_PARTITION_DIGEST
+    for target_parts, digest in DMM_PARTITION_DIGESTS.items():
+        assert dmm_partition_digest(target_parts) == digest, target_parts
 
 
 @pytest.mark.parametrize("name", sorted(NULL_GRAPH_CASES))

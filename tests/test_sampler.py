@@ -267,10 +267,7 @@ class ReferenceDeltas:
 
 
 class TestIncrementalCounts:
-    @pytest.mark.parametrize("kind", [
-        pytest.param("directed", id="False"),
-        pytest.param("undirected", id="undirected-False"),
-    ])
+    @pytest.mark.parametrize("kind", ["directed", "undirected"])
     @settings(max_examples=10, deadline=None, derandomize=True)
     @given(
         g=float_weighted_graphs(),
@@ -467,8 +464,8 @@ class TestRejectionScan:
         assert pos > 2 * sampler._RNG_BLOCK
 
     @pytest.mark.parametrize("max_steps, patience, stopped", [
-        pytest.param(30000, 3000, "patience", id="30000-3000-patience-False"),
-        pytest.param(3000, 3000, "max_steps", id="3000-3000-max_steps-False"),
+        (30000, 3000, "patience"),
+        (3000, 3000, "max_steps"),
     ])
     def test_cap_inside_a_scan(self, max_steps, patience, stopped, monkeypatch):
         g = directed_gnp(40, 0.1, seed=21)
@@ -950,6 +947,15 @@ class TestConfigValidation:
     def test_patience_must_be_positive(self, patience):
         with pytest.raises(ChainConfigError, match="patience"):
             ChainConfig(patience=patience)
+
+    # A fractional budget runs one step more than its floor.
+    @pytest.mark.parametrize("field, value", [
+        ("max_steps", 2000.0), ("max_steps", 2000.5),
+        ("patience", 10000.5), ("patience", 100.0),
+    ])
+    def test_counts_must_be_integers(self, field, value):
+        with pytest.raises(ChainConfigError, match=f"{field} must be an integer"):
+            ChainConfig(**{field: value})
 
     def test_inadmissible_init_rejected(self):
         g = directed_gnp(10, 0.4, seed=1)
