@@ -100,8 +100,8 @@ def _split_part(g, part, refinement_passes):
     k_out = np.asarray(g.out_strength)[nodes]
     expected = (k_in * k_out.sum() + k_out * k_in.sum()) / m
 
-    row_a = np.bincount(src_l, weights=w_l, minlength=k)  # within-part out weight
-    col_a = np.bincount(dst_l, weights=w_l, minlength=k)  # within-part in weight
+    row_a = np.asarray(sub.out_strength)  # within-part out weight
+    col_a = np.asarray(sub.in_strength)  # within-part in weight
     # Row sums of the symmetrized modularity matrix restricted to the part;
     # subtracting them on the diagonal makes the split's Q gain a quadratic
     # form in the +/-1 side vector.
@@ -189,7 +189,7 @@ def _split_gain(sub, side, k_in, k_out, m):
     """Q(part split in two) - Q(part whole), for the part's subgraph ``sub``."""
     same = side[sub.edge_src] == side[sub.edge_dst]
     w_same = float(sub.edge_weight[same].sum())
-    w_all = float(sub.edge_weight.sum())
+    w_all = sub.total_weight
     kin_a = float(k_in[side].sum())
     kout_a = float(k_out[side].sum())
     kin_b = float(k_in[~side].sum())

@@ -19,6 +19,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .graph import DirectedGraph
+from .sampler import require_count
 from .seeding import sample_without_replacement
 
 LABEL_S1 = "S1"
@@ -45,6 +46,7 @@ class BenchmarkSpec:
         for name, p in (("p1", self.p1), ("p2", self.p2)):
             if not (0.0 <= p <= 1.0):
                 raise ValueError(f"{name} must be in [0, 1], got {p}")
+        require_count("seed", self.seed, 0)
 
     @property
     def n_nodes(self) -> int:

@@ -32,7 +32,7 @@ from .extraction import (
     map_jobs,
 )
 from .graph import load_edge_list, save_edge_list
-from .sampler import ChainConfig, run_chain, write_trace_csv
+from .sampler import ChainConfig, require_count, run_chain, write_trace_csv
 from .seeding import derive_seed
 
 EXIT_OK = 0
@@ -183,8 +183,7 @@ def _cmd_extract(args) -> int:
     t0 = time.perf_counter()
     if args.trace and args.method == "dmm":
         raise ValueError("--trace needs --method dce or uce: dmm runs no chain")
-    if args.jobs < 1:
-        raise ValueError("jobs must be >= 1")
+    require_count("jobs", args.jobs, 1)
     # Every option is checked, whatever the method, before the graph loads.
     dmm = DmmConfig(args.parts, args.refinement_passes)
     config = ExtractionConfig(

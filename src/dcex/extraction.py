@@ -297,8 +297,7 @@ def extract_all(
     """
     if g.n_nodes == 0:
         raise ValueError("cannot extract communities from an empty graph")
-    if jobs < 1:
-        raise ValueError("jobs must be >= 1")
+    require_count("jobs", jobs, 1)
     master = config.chain.seed
     rho = config.criterion.rho
     residual = g
@@ -413,8 +412,7 @@ def map_jobs(fn, items: list, jobs: int) -> Iterator:
     :func:`contextlib.closing` when it may be left unfinished, so the
     workers go at once rather than at garbage collection.
     """
-    if jobs < 1:
-        raise ValueError("jobs must be >= 1")
+    require_count("jobs", jobs, 1)
     if jobs == 1 or len(items) <= 1:
         return (fn(x) for x in items)
     return _pool_map(fn, items, min(jobs, len(items)))

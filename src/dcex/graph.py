@@ -7,6 +7,7 @@ first read, so a local search pays only for the rows it reads.
 from __future__ import annotations
 
 import math
+import operator
 
 import numpy as np
 
@@ -69,7 +70,12 @@ class DirectedGraph:
     )
 
     def __init__(self, n_nodes, edges=(), labels=None, meta=None):
-        triples = [(int(s), int(d), float(w)) for s, d, w in edges]
+        index = operator.index  # an int, not a float such as 0.7
+        try:
+            triples = [(index(s), index(d), float(w)) for s, d, w in edges]
+        except TypeError as exc:
+            raise GraphValidationError(
+                f"node ids must be integers and weights numbers: {exc}") from None
         src, dst, weight = zip(*triples) if triples else ((), (), ())
         self._build(n_nodes, src, dst, weight, labels, meta)
 
@@ -104,9 +110,22 @@ class DirectedGraph:
             label_to_id = {lab: i for i, lab in enumerate(labels)}
             if len(label_to_id) != n_nodes:
                 raise GraphValidationError("node labels must be unique")
-        src = np.asarray(src, dtype=np.int64)
-        dst = np.asarray(dst, dtype=np.int64)
+        src, dst = np.asarray(src), np.asarray(dst)
         weight = np.asarray(weight, dtype=np.float64)
+        if not src.ndim == dst.ndim == weight.ndim == 1:
+            raise GraphValidationError(
+                f"edge columns must be 1-D, got shapes {src.shape}, "
+                f"{dst.shape} and {weight.shape}")
+        if not len(src) == len(dst) == len(weight):
+            raise GraphValidationError(
+                f"edge columns differ in length: {len(src)} src, "
+                f"{len(dst)} dst and {len(weight)} weight")
+        # An empty column holds no id, whatever its dtype.
+        if len(src) and not (src.dtype.kind in "iu" and dst.dtype.kind in "iu"):
+            raise GraphValidationError(
+                f"node ids must be integers, got {src.dtype} src and "
+                f"{dst.dtype} dst")
+        src, dst = src.astype(np.int64, copy=False), dst.astype(np.int64, copy=False)
         _validate_edges(n_nodes, src, dst, weight, labels)
 
         keys = src * n_nodes + dst

@@ -96,6 +96,9 @@ class ChainConfig:
     def __post_init__(self):
         if not 0 < self.c < math.inf:  # also rejects NaN
             raise ChainConfigError(f"c must be positive and finite, got {self.c}")
+        require_count("seed", self.seed, 0, ChainConfigError)
+        for u in self.init_members or ():
+            require_count("init_members entry", u, 0, ChainConfigError)
         for name in ("max_steps", "patience"):
             value = getattr(self, name)
             if value is not None:
@@ -129,7 +132,9 @@ class ChainResult:
     steps_run: int
     accepted: int
     acceptance_rate: float
-    stopped: str  # "max_steps" | "patience" | "no_edges" | "stalled"
+    # "no_edges", "patience", "max_steps" or "stalled" (S is one node with
+    # no neighbour, at the start or after removals); see run_chain.
+    stopped: str
 
 
 class _IndexedSet:
@@ -157,13 +162,6 @@ class _IndexedSet:
         self.pos[v] = -1
 
 
-def resolve_budget(config: ChainConfig, n_nodes: int) -> tuple[int, int]:
-    max_steps = config.max_steps if config.max_steps is not None else 200 * n_nodes
-    patience = config.patience if config.patience is not None else 20 * n_nodes
-    patience = min(patience, max_steps)
-    return max_steps, patience
-
-
 def run_chain(
     g,
     params,
@@ -172,10 +170,15 @@ def run_chain(
 ) -> ChainResult:
     """Run one chain on ``g`` and return the best subset seen.
 
-    Fully deterministic given ``config.seed``.  On a graph with no edges the
-    chain terminates immediately with the initial state and ``stopped`` set
-    to "no_edges".  Where W may overflow a float on ``g``
-    (:func:`~dcex.criterion.check_value_bound`), it raises before any step.
+    Fully deterministic given ``config.seed``.  Where W may overflow a float
+    on ``g`` (:func:`~dcex.criterion.check_value_bound`), it raises before
+    any step.  ``stopped`` says why the chain ended: "no_edges" when ``g``
+    has no edge, so no step is run; otherwise "patience" when ``patience``
+    steps in a row did not improve on the best W, else "max_steps" when the
+    step budget ran out, else "stalled" when S is one node with no
+    neighbour, at the start or after removals, from which no move can be
+    accepted.  A step at which more than one of these holds is named by
+    the first of the three.
 
     ``observer``, when given, is called once per proposal, after the move
     (if accepted) is applied, as ``observer(event, state)``: ``event`` is
@@ -244,7 +247,8 @@ def run_chain(
     if g.edge_count == 0:
         return make_result("no_edges", 0, 0, best_members)
 
-    max_steps, patience = resolve_budget(config, n)
+    max_steps = config.max_steps or 200 * n  # each is None or at least 1
+    patience = min(config.patience or 20 * n, max_steps)
 
     # Proposal pool: S plus every node adjacent to S (either direction).
     # to_s[v] and from_s[v] are the weights from v into S and from S into v,
@@ -284,7 +288,6 @@ def run_chain(
     best_w = w_cur
     accepted = 0
     since_improve = 0
-    stopped = "max_steps"
     step = 0
     # What proposing each node from the current state gives; S and
     # everything a proposal reads change only on an accepted move.
@@ -295,14 +298,11 @@ def run_chain(
     # not have the counts the memo was made with: the slot is never read.
     undo, moved = {}, -1
 
+    # The pool holds S, so a pool of one node is a member with no neighbour:
+    # no move can be accepted from it again.
     pool_len = len(items)  # changes only on an accepted move
-    while step < max_steps:
+    while step < max_steps and since_improve < patience and pool_len > 1:
         step += 1
-        if pool_len == 1 and state.size == 1:
-            # Isolated single-node state: no admissible move can ever fire.
-            step -= 1
-            stopped = "stalled"
-            break
         if pos >= refill_at:
             block, pos = _refill(rng, block, pos), 0
             del draws  # free the old list before its successor is made
@@ -401,9 +401,6 @@ def run_chain(
                           state.size, w_cur),
                 state,
             )
-        if since_improve >= patience:
-            stopped = "patience"
-            break
 
         if (outcome is None or accept) and len(memo) == pool_len:
             # Every pool node has been proposed from this state, so until a
@@ -413,6 +410,8 @@ def run_chain(
             # chance of an accept per step is the mean bar.  A restored memo
             # may hold the outright accept that left this state before (bar
             # None, with a delta), which the scan would read as a rejection.
+            # At the step where patience or the budget runs out, limit is
+            # at most 0, so no scan is taken.
             bars = [memo[v][5] for v in items]
             limit = min(patience - since_improve, max_steps - step)
             outright = None in bars and any(
@@ -435,10 +434,9 @@ def run_chain(
                     refill_at = len(draws) - 1
                 step += taken
                 since_improve += taken
-                if since_improve >= patience:
-                    stopped = "patience"
-                    break
 
+    stopped = ("patience" if since_improve >= patience
+               else "max_steps" if step >= max_steps else "stalled")
     return make_result(stopped, step, accepted, best_members)
 
 

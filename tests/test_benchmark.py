@@ -153,6 +153,16 @@ class TestSpecValidation:
         with pytest.raises(ValueError):
             BenchmarkSpec(-1, 5, 10, p1=0.5, p2=0.1)
 
+    # Each was taken, to fail later inside numpy's generator.
+    @pytest.mark.parametrize("seed, message", [
+        (-1, "seed must be >= 0"),
+        (1.5, "seed must be an integer"),
+        (3.0, "seed must be an integer"),
+    ])
+    def test_seed_must_be_a_nonnegative_integer(self, seed, message):
+        with pytest.raises(ValueError, match=message):
+            BenchmarkSpec(5, 5, 10, p1=0.5, p2=0.1, seed=seed)
+
 
 class TestGroundTruthFile:
     def test_to_file_format(self, tmp_path):

@@ -199,6 +199,16 @@ class TestExtractCommand:
         assert run_cli(*self.extract_args(par, **short, **{"--jobs": 2})) == 0
         assert seq.read_bytes() == par.read_bytes()
 
+    # Numpy's "expected non-negative integer", after the graph had loaded.
+    @pytest.mark.parametrize("method", ["dce", "uce"])
+    def test_negative_seed_exits_2_naming_it(self, tmp_path, capsys, method):
+        out = tmp_path / "r.json"
+        code = run_cli(*self.extract_args(out, **{"--method": method,
+                                                  "--seed": -1}))
+        assert code == 2
+        assert "seed must be >= 0" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_zero_jobs_exits_2_before_any_work(self, tmp_path, capsys):
         out = tmp_path / "r.json"
         assert run_cli(*self.extract_args(out, **{"--jobs": 0})) == 2
@@ -307,6 +317,14 @@ class TestBenchmarkCommand:
         assert code == 0
         assert list(out_dir.glob("*.edgelist")) == []
         assert (out_dir / "benchmark.manifest.json").exists()
+
+    def test_negative_seed_exits_2_naming_it(self, tmp_path, capsys):
+        out_dir = tmp_path / "bench"
+        code = run_cli("benchmark", "--replicates", 1, "--seed", -1,
+                       "--out-dir", out_dir)
+        assert code == 2
+        assert "seed must be >= 0" in capsys.readouterr().err
+        assert not out_dir.exists()
 
     def test_invalid_probability_exits_2(self, tmp_path):
         code = run_cli("benchmark", "--p1", 1.5, "--out-dir", tmp_path / "x")

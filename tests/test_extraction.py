@@ -291,6 +291,14 @@ class TestExtractAll:
         assert serial["communities"][0]["null_scores"]["count"] == 9
         assert extract_all(g, cfg, jobs=2).to_dict() == serial
 
+    # 1.5 passed the jobs < 1 test and failed once the null phase began.
+    @pytest.mark.parametrize("jobs", [1.5, 2.0, "2"])
+    def test_jobs_must_be_an_integer(self, jobs):
+        g = directed_gnp(20, 0.2, seed=3)
+        with pytest.raises(ValueError, match="jobs must be an integer"):
+            extract_all(g, fast_config(max_communities=1, null_replicates=4),
+                        jobs=jobs)
+
     @pytest.mark.parametrize("model", [NULL_SAME_EDGE_COUNT, NULL_DEGREE_PRESERVING])
     def test_jobs_do_not_change_a_rejected_round(self, model):
         g, cfg = noise_case(0, model)
@@ -570,6 +578,12 @@ class TestMapJobs:
     def test_jobs_below_one_rejected(self):
         with pytest.raises(ValueError, match="jobs"):
             map_jobs(abs, [1, 2], 0)
+
+    # Passed the jobs < 1 test, then failed in the worker pool, if started.
+    @pytest.mark.parametrize("jobs", [1.5, 2.0, np.float64(3.0)])
+    def test_jobs_must_be_an_integer(self, jobs):
+        with pytest.raises(ValueError, match="jobs must be an integer"):
+            map_jobs(abs, [1, 2, 3], jobs)
 
     def test_early_stop_leaves_no_worker(self):
         with closing(map_jobs(abs, list(range(-50, 50)), 2)) as results:

@@ -210,6 +210,38 @@ class TestConstruction:
         with pytest.raises(GraphValidationError, match=message):
             DirectedGraph.from_arrays(3, src, dst, weight, labels=("a", "b", "c"))
 
+    @pytest.mark.parametrize(
+        "build, message",
+        [
+            (lambda: DirectedGraph(3, [(0.7, 1.2, 1.0)]), "node ids must be integers"),
+            (lambda: DirectedGraph(3, [(0, np.float64(1.0), 1.0)]),
+             "node ids must be integers"),
+            (lambda: DirectedGraph.from_arrays(3, [0.7], [1.2], [1.0]),
+             "node ids must be integers"),
+            (lambda: DirectedGraph.from_arrays(3, np.array([0.0]), [1], [1.0]),
+             "node ids must be integers"),
+            (lambda: DirectedGraph.from_arrays(3, [1], [2, 0], [1.0, 1.0]),
+             "differ in length: 1 src, 2 dst and 2 weight"),
+            (lambda: DirectedGraph.from_arrays(3, [0, 1], [2], [1.0, 1.0]),
+             "differ in length: 2 src, 1 dst and 2 weight"),
+            (lambda: DirectedGraph.from_arrays(3, [0, 1], [1, 2], [1.0]),
+             "differ in length: 2 src, 2 dst and 1 weight"),
+            (lambda: DirectedGraph.from_arrays(3, [[0, 1]], [[1, 2]], [[1.0, 1.0]]),
+             "must be 1-D"),
+        ],
+        ids=["float-triple", "numpy-float-triple", "float-columns",
+             "float-array", "short-src", "short-dst", "short-weight", "2-d"],
+    )
+    def test_ids_are_integers_and_columns_match(self, build, message):
+        with pytest.raises(GraphValidationError, match=message):
+            build()
+
+    def test_empty_columns_of_any_dtype_are_valid(self):
+        for columns in (((), (), ()), ([], [], []),
+                        (np.array([]), np.array([]), np.array([]))):
+            assert DirectedGraph.from_arrays(3, *columns).edge_count == 0
+        assert DirectedGraph(3, []).edge_count == 0
+
 
 @st.composite
 def float_edge_lists(draw):

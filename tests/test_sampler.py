@@ -47,11 +47,9 @@ from helpers import (
 
 PARAMS_N1 = CriterionParams(rho=1.0, n=1.0)
 
-# Case ids ending in "False" name the plain Metropolis kernel: they keep the
-# names these cases had when the suite also ran a kernel that weighed its
-# acceptance ratio by pool sizes.  Ids and cases named "undirected" run UCE's
-# criterion, W at n = 0 on a symmetrized graph: they keep the names they had
-# when that was a criterion mode of its own.
+# Ids and cases named "undirected" run UCE's criterion, W at n = 0 on a
+# symmetrized graph: they keep the names they had when that was a criterion
+# mode of its own.
 
 
 def mini_community_graph(extra, boundary=((0, 3), (1, 4))):
@@ -313,8 +311,7 @@ class TestIncrementalCounts:
 
 
 class TestReferenceDeltas:
-    @pytest.mark.parametrize("kind", ["directed", "undirected"],
-                             ids=["directed-False", "undirected-False"])
+    @pytest.mark.parametrize("kind", ["directed", "undirected"])
     @pytest.mark.parametrize("seed", [0, 1])
     def test_unit_weights_match_exactly(self, kind, seed):
         g = directed_gnp(60, 0.08, seed=30 + seed)
@@ -904,6 +901,27 @@ class TestStopping:
         assert r.stopped == "max_steps"
         assert r.steps_run == 777
 
+    # From {0, 5} the chain adds 1, removes 1, then removes 0 and is left on
+    # node 5, which has no neighbour, at step 3.  When the budget or the
+    # patience runs out at that same step, it names the stop; patience 1
+    # runs out a step sooner.
+    @pytest.mark.parametrize("max_steps, patience, stopped, steps", [
+        (500, 200, "stalled", 3),
+        (3, 3, "max_steps", 3),
+        (500, 2, "patience", 3),
+        (500, 1, "patience", 2),
+    ])
+    def test_stall_reached_mid_run(self, max_steps, patience, stopped, steps):
+        g = DirectedGraph(8, [(0, 1, 1.0), (1, 2, 1.0), (2, 3, 1.0)])
+        cfg = ChainConfig(c=1.0, seed=0, init_members=(5, 0),
+                          max_steps=max_steps, patience=patience)
+        r, events = run_observed(g, CriterionParams(rho=0.8, n=1.0), cfg)
+        assert r.stopped == stopped
+        assert r.steps_run == r.accepted == len(events) == steps
+        assert [(e.node, e.direction) for e in events] == [
+            (1, "add"), (1, "remove"), (0, "remove")][:steps]
+        assert sorted(r.best_state.members) == [0, 1, 5]
+
 
 class TestSearch:
     # Seeds 0 and 6 end on optimal 4-subsets of different cliques, which tie
@@ -955,6 +973,19 @@ class TestConfigValidation:
     ])
     def test_counts_must_be_integers(self, field, value):
         with pytest.raises(ChainConfigError, match=f"{field} must be an integer"):
+            ChainConfig(**{field: value})
+
+    # A float seed was taken; a float start node was cut to the node below.
+    @pytest.mark.parametrize("field, value, message", [
+        ("seed", 1.5, "seed must be an integer"),
+        ("seed", 2.0, "seed must be an integer"),
+        ("seed", -1, "seed must be >= 0"),
+        ("init_members", (1.7,), "init_members entry must be an integer"),
+        ("init_members", (0, np.float64(2.0)), "init_members entry must be an"),
+        ("init_members", (3, -1), "init_members entry must be >= 0"),
+    ])
+    def test_seed_and_start_nodes_must_be_integers(self, field, value, message):
+        with pytest.raises(ChainConfigError, match=message):
             ChainConfig(**{field: value})
 
     def test_inadmissible_init_rejected(self):
