@@ -30,6 +30,7 @@ scratch as the reference for the sampler's deltas.
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass
 
 # Slack for the admissibility inequality 2|S| < rho*N, where values within
@@ -146,10 +147,15 @@ class CommunityState:
         The counts are summed in node order, so they depend on the set alone
         and not on the order in which its members were added.
         """
-        mset = set(int(u) for u in members)
-        for u in mset:
+        mset = set()
+        for u in members:
+            try:
+                u = operator.index(u)  # an int, not a float such as 1.7
+            except TypeError:
+                raise ValueError(f"member {u!r} is not an integer") from None
             if not (0 <= u < g.n_nodes):
                 raise ValueError(f"member {u} out of range")
+            mset.add(u)
         in_set = bytearray(g.n_nodes)
         for u in mset:
             in_set[u] = 1

@@ -38,7 +38,9 @@ class DirectedGraph:
     One builder makes every instance from edge columns ``(src, dst,
     weight)``: it validates them, sorts them by (src, dst) unless they come
     so, sums duplicates and computes strengths with numpy, and sorts the
-    edges by destination once.
+    edges by destination once.  ``symmetric`` is True when every edge
+    u -> v has an edge v -> u of bitwise-equal weight, as on a graph from
+    :func:`symmetrize` or an undirected edge list.
     ``DirectedGraph(n_nodes, edges)`` takes ``(src, dst, weight)`` triples;
     :meth:`from_arrays` takes the columns.
 
@@ -64,6 +66,7 @@ class DirectedGraph:
         "nbr_rows",
         "out_strength",
         "in_strength",
+        "symmetric",
         "labels",
         "meta",
         "_label_to_id",
@@ -149,11 +152,19 @@ class DirectedGraph:
         self.labels = labels
         self.meta = dict(meta) if meta else {}
         self._label_to_id = label_to_id
-        self._make_row_maps()
+        by_dst = self._make_row_maps()
+        # Unequal strengths end the test at the first node that differs, so
+        # a directed graph pays for no more.
+        self.symmetric = (self.out_strength == self.in_strength
+                          and _is_own_transpose(self.edge_src, self.edge_dst,
+                                                self.edge_weight, by_dst))
 
     def _make_row_maps(self):
+        """Make the row maps; return the edges' order by destination."""
+        by_dst = radix_argsort(self.edge_dst, self.n_nodes)
         self.adj_nbrs, self.nbr_rows = _row_maps(
-            self.n_nodes, self.edge_src, self.edge_dst, self.edge_weight)
+            self.n_nodes, self.edge_src, self.edge_dst, self.edge_weight, by_dst)
+        return by_dst
 
     def __getstate__(self):
         return {k: getattr(self, k) for k in self.__slots__ if k not in _ROW_MAPS}
@@ -245,13 +256,20 @@ def _offsets(ids, n):
     return at
 
 
-def _row_maps(n, src, dst, weight):
+def _is_own_transpose(src, dst, weight, by_dst) -> bool:
+    """Whether edge columns sorted by (src, dst) hold, for each edge u -> v,
+    an edge v -> u of bitwise-equal weight.  ``by_dst`` orders the edges by
+    (dst, src), which is the transpose's (src, dst) order."""
+    return (np.array_equal(dst[by_dst], src) and np.array_equal(src[by_dst], dst)
+            and np.array_equal(weight[by_dst], weight))
+
+
+def _row_maps(n, src, dst, weight, by_dst):
     """The row maps, in ``_ROW_MAPS`` order, of a graph whose edge columns
-    are sorted by (src, dst).  A stable sort by dst orders the edges by (dst,
-    src), so in-neighbours come out sorted too; row u cuts its weights from
-    its own edges.  No maker holds its own map or the graph, so a dropped
-    graph leaves no reference cycle."""
-    by_dst = radix_argsort(dst, n)
+    are sorted by (src, dst).  ``by_dst``, a stable sort by dst, orders the
+    edges by (dst, src), so in-neighbours come out sorted too; row u cuts its
+    weights from its own edges.  No maker holds its own map or the graph, so
+    a dropped graph leaves no reference cycle."""
     out_at, in_at = _offsets(src, n), _offsets(dst, n)
     node = list(range(n)).__getitem__  # one int object per node
 
@@ -407,12 +425,18 @@ def subgraph_complement(g: DirectedGraph, removed) -> tuple[DirectedGraph, list[
     Returns the reindexed graph plus ``kept``, where new id ``i`` corresponds
     to old id ``kept[i]``.
     """
-    removed = set(int(u) for u in removed)
+    ids = set()
     for u in removed:
+        try:
+            u = operator.index(u)  # an int, not a float such as 0.9
+        except TypeError:
+            raise GraphValidationError(
+                f"removed node {u!r} is not an integer") from None
         if not (0 <= u < g.n_nodes):
             raise GraphValidationError(f"removed node {u} out of range")
+        ids.add(u)
     keep = np.ones(g.n_nodes, dtype=bool)
-    keep[list(removed)] = False
+    keep[list(ids)] = False
     kept = np.flatnonzero(keep)
     new_id = np.cumsum(keep) - 1
     inside = keep[g.edge_src] & keep[g.edge_dst]

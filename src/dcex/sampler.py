@@ -18,14 +18,15 @@ walks the moved node's merged neighbour row once, updating those weights and
 the pool, and starts a new memo.  On a graph of integer weights totalling
 below 2**53 every sum is exact: a node's two weights fall back to exactly 0.0
 when its last neighbour in S leaves, so they are the pool-membership test and
-no count of adjacent members is kept; on other graphs a count is kept.  Exact
-sums also make a memo depend on S alone: the chain keeps the memo of the
-subset its last accepted move left, and an accepted move of the same node,
-which goes back to that subset, takes it back.  Once every pool node
-has been proposed from the current subset and none is accepted outright,
-nothing a proposal reads can change until a move is accepted, so a run of
-rejections expected to go on is taken in numpy from the same uniform draws,
-up to the next accepted step.
+no count of adjacent members is kept; on other graphs a count is kept.  On a
+symmetric graph with exact sums, such as UCE's, the two weights are equal and
+one list holds both, so the walk updates one.  Exact sums also make a memo
+depend on S alone: the chain keeps the memo of the subset its last accepted
+move left, and an accepted move of the same node, which goes back to that
+subset, takes it back.  Once every pool node has been proposed from the
+current subset and none is accepted outright, nothing a proposal reads can
+change until a move is accepted, so a run of rejections expected to go on is
+taken in numpy from the same uniform draws, up to the next accepted step.
 """
 
 from __future__ import annotations
@@ -196,7 +197,9 @@ def run_chain(
     is an integer and the total is below 2**53 (:func:`_exact_sums`), all
     sums are exact: a node outside S is in the pool exactly when its weight
     to or from S is nonzero, so no count of adjacent members is kept, and a
-    memo made at S holds on a return to S.  An accepted move keeps the memo
+    memo made at S holds on a return to S; when ``g.symmetric`` too, the two
+    weights are equal and one list keeps both.  An accepted move is applied
+    inline, as :meth:`CommunityState.apply_move` applies it, keeps the memo
     it leaves in an undo slot and, on exact sums, swaps it back in when it
     moves the node the last accepted move moved; otherwise it starts a new
     memo, so a float graph's undo slot is never read.  A step that missed
@@ -259,21 +262,25 @@ def run_chain(
     # exact, they fall back to exactly 0.0 as its last neighbour in S leaves
     # and are the pool test, and a memo made at S holds on a return to S.
     # Otherwise they may not, and cov[v] counts the members adjacent to v.
+    # On a symmetric graph a row's w_in is its w_out, so exact sums to and
+    # from S are equal: from_s is to_s, and each weight is added once.
     exact = _exact_sums(g)
+    one = exact and g.symmetric
     pool = _IndexedSet(n)
     cov = None if exact else [0] * n
     to_s = [0.0] * n
-    from_s = [0.0] * n
+    from_s = to_s if one else [0.0] * n
     rows = g.nbr_rows
-    in_set = state.in_set
-    for u in state.members:
+    members, in_set = state.members, state.in_set
+    for u in members:
         pool.add(u)
         for v, a, b in zip(*rows[u]):
             if cov is not None:
                 cov[v] += 1
             pool.add(v)
             to_s[v] += a
-            from_s[v] += b
+            if not one:
+                from_s[v] += b
 
     c = config.c
     items = pool.items
@@ -348,11 +355,21 @@ def run_chain(
             else:
                 memo, undo = {}, memo
             moved = u
-            state.apply_move(u, direction, new_counts)
             w_cur = w_new
-            if exact:
-                if direction == "add":
-                    for v, a, b in zip(*rows[u]):
+            # The move as CommunityState.apply_move makes it, then the walk.
+            state.o_s, state.b_in, state.b_out, state.size = new_counts
+            nbrs, w_in, w_out = rows[u]
+            if direction == "add":
+                members.add(u)
+                in_set[u] = 1
+                if one:
+                    for v, a in zip(nbrs, w_in):
+                        t = to_s[v]
+                        if not t and not in_set[v]:
+                            pool.add(v)
+                        to_s[v] = t + a
+                elif exact:
+                    for v, a, b in zip(nbrs, w_in, w_out):
                         t = to_s[v]
                         f = from_s[v]
                         if not (t or f) and not in_set[v]:
@@ -360,29 +377,39 @@ def run_chain(
                         to_s[v] = t + a
                         from_s[v] = f + b
                 else:
-                    for v, a, b in zip(*rows[u]):
+                    for v, a, b in zip(nbrs, w_in, w_out):
+                        if cov[v] == 0 and not in_set[v]:
+                            pool.add(v)
+                        cov[v] += 1
+                        to_s[v] += a
+                        from_s[v] += b
+            else:
+                members.remove(u)
+                in_set[u] = 0
+                if one:
+                    for v, a in zip(nbrs, w_in):
+                        t = to_s[v] = to_s[v] - a
+                        if not t and not in_set[v]:
+                            pool.discard(v)
+                    if not to_s[u]:
+                        pool.discard(u)
+                elif exact:
+                    for v, a, b in zip(nbrs, w_in, w_out):
                         t = to_s[v] = to_s[v] - a
                         f = from_s[v] = from_s[v] - b
                         if not (t or f) and not in_set[v]:
                             pool.discard(v)
                     if not (to_s[u] or from_s[u]):
                         pool.discard(u)
-            elif direction == "add":
-                for v, a, b in zip(*rows[u]):
-                    if cov[v] == 0 and not in_set[v]:
-                        pool.add(v)
-                    cov[v] += 1
-                    to_s[v] += a
-                    from_s[v] += b
-            else:
-                for v, a, b in zip(*rows[u]):
-                    cov[v] -= 1
-                    if cov[v] == 0 and not in_set[v]:
-                        pool.discard(v)
-                    to_s[v] -= a
-                    from_s[v] -= b
-                if cov[u] == 0:
-                    pool.discard(u)
+                else:
+                    for v, a, b in zip(nbrs, w_in, w_out):
+                        cov[v] -= 1
+                        if cov[v] == 0 and not in_set[v]:
+                            pool.discard(v)
+                        to_s[v] -= a
+                        from_s[v] -= b
+                    if cov[u] == 0:
+                        pool.discard(u)
             # Read before the scan weigh below: a restored memo may cover
             # the new pool at once.
             pool_len = len(items)

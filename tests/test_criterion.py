@@ -1,3 +1,4 @@
+import re
 import sys
 
 import numpy as np
@@ -351,3 +352,34 @@ class TestScoreFromCounts:
         assert s.effective_size_term == pytest.approx(0.5 * 20 - 3)
         assert s.q_d == pytest.approx(5.0 / 3.0)
         assert s.value == pytest.approx(7.0 * 2.0 - (5.0 / 3.0) ** 2 * 4.0)
+
+
+class TestMemberIds:
+    """Member ids are integers: ``from_members``, and ``score`` through it,
+    take them with ``operator.index``, so neither rounds a float nor parses
+    a string."""
+
+    G = cycle_with_boundary([(0, 3, 1.0), (1, 4, 1.0)])
+
+    @pytest.mark.parametrize("members, shown", [
+        ([1.7, 2.2], "1.7"),
+        ([1, 2.0], "2.0"),
+        (["1", 2], "'1'"),
+        ([None], "None"),
+    ])
+    def test_non_integers_are_rejected(self, members, shown):
+        match = f"member {re.escape(shown)} is not an integer"
+        with pytest.raises(ValueError, match=match):
+            CommunityState.from_members(self.G, members)
+        with pytest.raises(ValueError, match=match):
+            score(self.G, members, CriterionParams(rho=1.0, n=1.0))
+
+    def test_out_of_range_is_rejected(self):
+        with pytest.raises(ValueError, match="member 6 out of range"):
+            CommunityState.from_members(self.G, [0, 6])
+
+    def test_numpy_and_python_ints_give_one_state(self):
+        ref = CommunityState.from_members(self.G, [0, 1, 2])
+        state = CommunityState.from_members(self.G, np.array([2, 1, 0]))
+        assert state.members == ref.members and state.counts() == ref.counts()
+        assert all(type(u) is int for u in state.members)

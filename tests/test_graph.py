@@ -431,6 +431,23 @@ class TestSubgraphComplement:
         with pytest.raises(GraphValidationError, match="out of range"):
             subgraph_complement(g, {7})
 
+    @pytest.mark.parametrize("removed, shown", [
+        ([0.9], "0.9"),
+        ([1, 2.0], "2.0"),
+        (["1"], "'1'"),
+        ([None], "None"),
+    ])
+    def test_ids_must_be_integers(self, removed, shown):
+        g = DirectedGraph(3, [(0, 1, 1.0), (1, 2, 1.0)])
+        with pytest.raises(GraphValidationError,
+                           match=f"removed node {re.escape(shown)} is not an integer"):
+            subgraph_complement(g, removed)
+
+    def test_numpy_ids_are_taken(self):
+        g = DirectedGraph(3, [(0, 1, 1.0), (1, 2, 1.0)])
+        sub, kept = subgraph_complement(g, np.array([2]))
+        assert kept == [0, 1] and edge_multiset(sub) == {(0, 1): 1.0}
+
     def test_index_map_and_labels(self):
         g = DirectedGraph(
             4, [(0, 1, 1.0), (1, 3, 2.0), (3, 0, 1.0)], labels=("a", "b", "c", "d")
@@ -439,6 +456,48 @@ class TestSubgraphComplement:
         assert kept == [0, 1, 3]
         assert sub.labels == ("a", "b", "d")
         assert edge_multiset(sub) == {(0, 1): 1.0, (1, 2): 2.0, (2, 0): 1.0}
+
+
+class TestSymmetricFlag:
+    """``symmetric``: every edge u -> v has an edge v -> u of bitwise-equal
+    weight."""
+
+    @pytest.mark.parametrize("make", [
+        lambda: symmetrize(directed_gnp(30, 0.2, seed=4)),
+        lambda: symmetrize(directed_gnp(30, 0.2, seed=4, float_weights=True)),
+        lambda: subgraph_complement(
+            symmetrize(directed_gnp(30, 0.2, seed=4, float_weights=True)),
+            [3, 7, 11])[0],
+        lambda: DirectedGraph(4),
+        lambda: DirectedGraph(0),
+    ], ids=["symmetrized-unit", "symmetrized-float", "complement", "no-edges",
+            "no-nodes"])
+    def test_symmetric_graphs(self, make):
+        assert make().symmetric is True
+
+    def test_undirected_edge_list(self, tmp_path):
+        g = load_edge_list(write(tmp_path, "a b 0.1\nb c 0.7\nc a 2.5\nb a 0.2\n"),
+                           directed=False)
+        assert g.symmetric is True
+
+    def test_directed_cycle_is_not(self):
+        # Every node's in- and out-strength is 1, so strengths alone pass it.
+        g = DirectedGraph(3, [(0, 1, 1.0), (1, 2, 1.0), (2, 0, 1.0)])
+        assert g.out_strength == g.in_strength
+        assert g.symmetric is False
+
+    def test_unequal_reciprocal_weights_are_not(self):
+        g = DirectedGraph(2, [(0, 1, 1.0), (1, 0, 2.0)])
+        assert g.symmetric is False
+
+    def test_directed_gnp_is_not(self):
+        assert directed_gnp(30, 0.2, seed=4).symmetric is False
+
+    @pytest.mark.parametrize("symmetric", [True, False])
+    def test_pickle_keeps_it(self, symmetric):
+        g = directed_gnp(20, 0.2, seed=5)
+        g = symmetrize(g) if symmetric else g
+        assert pickle.loads(pickle.dumps(g)).symmetric is symmetric
 
 
 ROW_MAPS = ("adj_nbrs", "nbr_rows")

@@ -297,10 +297,8 @@ def null_graph_digest(g):
     return h.hexdigest()
 
 
-# "plain" names the Metropolis kernel, as it did when a second kernel that
-# weighed its ratio by pool sizes was pinned beside it.
 @pytest.mark.parametrize("case", CHAIN_CASES,
-                         ids=lambda case: "-".join(["plain", *map(str, case)]))
+                         ids=lambda case: "-".join(map(str, case)))
 def test_chain_event_stream_is_pinned(case, monkeypatch):
     spy = MemoSpy(monkeypatch)
     assert chain_digest(*case, observer=spy) == CHAIN_DIGESTS[case]

@@ -770,7 +770,8 @@ def pool_trace(g, params, cfg, monkeypatch):
 class TestPoolInvariant:
     """After every step the proposal pool is S plus every node adjacent to
     S, whichever walk keeps it: the weight sums on graphs whose sums are
-    exact, a count of adjacent members otherwise."""
+    exact (one list of them on a symmetric graph), a count of adjacent
+    members otherwise."""
 
     CFG = ChainConfig(c=0.05, seed=3, max_steps=4000, patience=4000)
 
@@ -788,6 +789,21 @@ class TestPoolInvariant:
             counted, wrong = pool_trace(g, params, self.CFG, monkeypatch)
             # repr, so a -0.0 in place of a 0.0 would show
             assert wrong == [] and list(map(repr, counted)) == list(map(repr, events))
+
+    @pytest.mark.parametrize("make", [lambda: symmetrize(int5_graph()),
+                                      lambda: symmetrize(two_cliques_graph())],
+                             ids=["int5-symmetrized", "two-cliques-symmetrized"])
+    def test_one_list_gives_the_two_list_chain(self, make, monkeypatch):
+        # A symmetric graph with exact sums keeps one list of weights to and
+        # from S; the same graph not flagged symmetric keeps two.
+        g = make()
+        params = CriterionParams(rho=0.8, n=0.0)
+        assert g.symmetric and sampler._exact_sums(g)
+        events, wrong = pool_trace(g, params, self.CFG, monkeypatch)
+        assert wrong == [] and sum(e.accepted for e in events) > 100
+        monkeypatch.setattr(g, "symmetric", False)
+        two, wrong = pool_trace(g, params, self.CFG, monkeypatch)
+        assert wrong == [] and list(map(repr, two)) == list(map(repr, events))
 
     def test_sum_walk_breaks_it_where_sums_round(self, monkeypatch):
         # The sum walk taken on rounding sums leaves nodes in the pool whose
